@@ -1,6 +1,6 @@
 //! Domain-name and resolver-cache microbenchmarks — the allocation-
 //! sensitive primitives underneath every sweep: parsing (interning),
-//! cloning (refcount bump), equality/hashing (pointer fast path),
+//! cloning (pointer copy), equality (pointer) and hashing (precomputed),
 //! suffix/apex derivation, and the cache-hit loop that dominates repeat
 //! resolution.
 

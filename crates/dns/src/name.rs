@@ -2,21 +2,21 @@
 //!
 //! Every simulated query the collector and the residual scanners issue
 //! flows through [`DomainName`]; zone lookups, cache keys, CNAME chases
-//! and snapshot rows all copy names around. To keep that hot path free of
-//! heap churn, parsing interns the normalized form in a process-wide
-//! sharded intern table: `Clone` is a refcount bump, equality fast-paths
-//! on pointer identity (with a content fallback, so handles from
-//! different construction paths still compare correctly), and hashing
-//! uses a precomputed content hash. The interner never evicts — the
-//! simulation's name universe is bounded by the generated world, and a
-//! stable address per name is what makes the pointer fast paths sound.
+//! and snapshot rows all copy names around. Parsing interns the normalized
+//! form in a process-wide sharded intern table, which leaks one immutable
+//! payload per distinct name and never evicts — the simulation's name
+//! universe is bounded by the generated world. A [`DomainName`] is a
+//! `&'static` pointer to that payload, so `Clone` and `Drop` are pointer
+//! copies with no atomics, equality is pointer identity, and hashing writes
+//! a precomputed content hash. Each payload also links its parent name,
+//! interned before it, so `suffix`/`apex`/`parent` walk pointers and never
+//! touch the table.
 
-use std::borrow::Borrow;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
-use std::sync::{Arc, LazyLock, RwLock};
+use std::sync::{LazyLock, RwLock};
 
 use crate::error::DnsError;
 
@@ -25,12 +25,14 @@ const MAX_NAME_LEN: usize = 253;
 /// Maximum length of a single label.
 const MAX_LABEL_LEN: usize = 63;
 
-/// The shared, immutable payload of an interned name.
+/// The immutable payload of an interned name, leaked once at intern time.
 struct NameInner {
     /// Normalized presentation form, e.g. "www.example.com".
     name: Box<str>,
-    /// Byte offsets of label starts within `name`.
-    label_starts: Box<[u16]>,
+    /// The name with its leftmost label removed (`None` at a TLD).
+    parent: Option<DomainName>,
+    /// Number of labels.
+    labels: u8,
     /// FNV-1a hash of `name`, precomputed so `Hash` is O(1).
     hash: u64,
 }
@@ -47,78 +49,70 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Label-start offsets of an already validated, normalized name.
-fn label_starts_of(name: &str) -> Box<[u16]> {
-    let mut starts = Vec::with_capacity(4);
-    let mut start = 0usize;
-    for label in name.split('.') {
-        starts.push(start as u16);
-        start += label.len() + 1;
+/// Checks every `.`-separated label of `s` (see [`DomainName`] for the
+/// syntax); `Some(true)` if any letter needs lowering.
+fn check_labels(s: &str) -> Option<bool> {
+    let mut needs_lowering = false;
+    for label in s.split('.') {
+        let edge_hyphen = label.starts_with('-') || label.ends_with('-');
+        if label.is_empty() || label.len() > MAX_LABEL_LEN || edge_hyphen {
+            return None;
+        }
+        for b in label.bytes() {
+            if b.is_ascii_uppercase() {
+                needs_lowering = true;
+            } else if !(b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' || b == b'_') {
+                return None;
+            }
+        }
     }
-    starts.into_boxed_slice()
+    Some(needs_lowering)
 }
-
-/// Intern-table entry: hashes and borrows as the name string so lookups
-/// never allocate.
-struct InternEntry(Arc<NameInner>);
-
-impl Borrow<str> for InternEntry {
-    fn borrow(&self) -> &str {
-        &self.0.name
-    }
-}
-
-impl Hash for InternEntry {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.name.hash(state);
-    }
-}
-
-impl PartialEq for InternEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.name == other.0.name
-    }
-}
-
-impl Eq for InternEntry {}
 
 /// Shard count for the intern table. Power of two; 16 shards keep write
 /// contention negligible even with the scan engine's worker threads all
 /// parsing at once.
 const INTERN_SHARDS: usize = 16;
 
+/// Intern-table shards, keyed by the payload's own (leaked) string so
+/// lookups by `&str` never allocate.
 struct Interner {
-    shards: [RwLock<HashSet<InternEntry>>; INTERN_SHARDS],
+    shards: [RwLock<HashMap<&'static str, DomainName>>; INTERN_SHARDS],
 }
 
 static INTERNER: LazyLock<Interner> = LazyLock::new(|| Interner {
-    shards: std::array::from_fn(|_| RwLock::new(HashSet::new())),
+    shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
 });
 
 impl Interner {
-    /// Returns the unique shared payload for `normalized`, creating it on
-    /// first sight. Read-locks on the hit path; write-locks only on miss.
-    fn intern(&self, normalized: &str) -> Arc<NameInner> {
+    /// Returns the unique handle for an already validated, normalized
+    /// name, creating it (and its parent chain) on first sight.
+    /// Read-locks on the hit path; write-locks only on miss.
+    fn intern(&self, normalized: &str) -> DomainName {
         let hash = fnv1a(normalized.as_bytes());
         let shard = &self.shards[(hash as usize) & (INTERN_SHARDS - 1)];
-        if let Some(entry) = shard.read().expect("interner lock").get(normalized) {
-            return Arc::clone(&entry.0);
+        if let Some(name) = shard.read().expect("interner lock").get(normalized) {
+            return name.clone();
         }
-        let inner = Arc::new(NameInner {
-            name: normalized.into(),
-            label_starts: label_starts_of(normalized),
-            hash,
-        });
+        // The parent goes first: shard locks are not reentrant and the
+        // parent may live in this very shard.
+        let parent = normalized
+            .split_once('.')
+            .map(|(_, rest)| self.intern(rest));
         let mut guard = shard.write().expect("interner lock");
-        match guard.get(normalized) {
-            // Raced with another thread; keep the winner so pointer
-            // identity stays unique per name.
-            Some(existing) => Arc::clone(&existing.0),
-            None => {
-                guard.insert(InternEntry(Arc::clone(&inner)));
-                inner
-            }
+        // Another thread may have won the race since the read; keep its
+        // payload so every name has exactly one address.
+        if let Some(name) = guard.get(normalized) {
+            return name.clone();
         }
+        let inner: &'static NameInner = Box::leak(Box::new(NameInner {
+            name: normalized.into(),
+            labels: parent.as_ref().map_or(1, |p| p.0.labels + 1),
+            parent,
+            hash,
+        }));
+        guard.insert(&inner.name, DomainName(inner));
+        DomainName(inner)
     }
 
     fn len(&self) -> usize {
@@ -137,8 +131,8 @@ impl Interner {
 /// `_dmarc`), no leading/trailing hyphen in a label, total length ≤ 253.
 /// Comparison is case-insensitive by construction because parsing lowercases.
 ///
-/// Parsing interns the normalized form process-wide, so `Clone` is a
-/// refcount bump and equality/hashing are O(1) on the fast path.
+/// Parsing interns the normalized form process-wide, so a handle is one
+/// pointer: `Clone` copies it, equality compares it, and hashing is O(1).
 ///
 /// # Example
 ///
@@ -152,7 +146,7 @@ impl Interner {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone)]
-pub struct DomainName(Arc<NameInner>);
+pub struct DomainName(&'static NameInner);
 
 impl DomainName {
     /// Parses and validates a name (see type docs for the accepted syntax).
@@ -166,37 +160,15 @@ impl DomainName {
         if trimmed.is_empty() || trimmed.len() > MAX_NAME_LEN {
             return Err(DnsError::ParseName(s.to_owned()));
         }
-        let mut needs_lowering = false;
-        for label in trimmed.split('.') {
-            if label.is_empty() || label.len() > MAX_LABEL_LEN {
-                return Err(DnsError::ParseName(s.to_owned()));
-            }
-            if label.starts_with('-') || label.ends_with('-') {
-                return Err(DnsError::ParseName(s.to_owned()));
-            }
-            for b in label.bytes() {
-                if b.is_ascii_uppercase() {
-                    needs_lowering = true;
-                } else if !(b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' || b == b'_')
-                {
-                    return Err(DnsError::ParseName(s.to_owned()));
-                }
-            }
-        }
+        let needs_lowering =
+            check_labels(trimmed).ok_or_else(|| DnsError::ParseName(s.to_owned()))?;
         // Already-normalized input (the overwhelmingly common case once a
         // world exists) interns without allocating a lowercase copy.
-        let inner = if needs_lowering {
+        Ok(if needs_lowering {
             INTERNER.intern(&trimmed.to_ascii_lowercase())
         } else {
             INTERNER.intern(trimmed)
-        };
-        Ok(DomainName(inner))
-    }
-
-    /// Interns an already-normalized, already-validated substring of an
-    /// existing name (used by [`DomainName::suffix`]).
-    fn from_normalized(normalized: &str) -> DomainName {
-        DomainName(INTERNER.intern(normalized))
+        })
     }
 
     /// Number of distinct names interned process-wide (diagnostics; the
@@ -212,7 +184,7 @@ impl DomainName {
 
     /// Number of labels, e.g. 3 for `www.example.com`.
     pub fn label_count(&self) -> usize {
-        self.0.label_starts.len()
+        usize::from(self.0.labels)
     }
 
     /// Iterates labels left to right.
@@ -223,21 +195,16 @@ impl DomainName {
     /// The `n` rightmost labels as a name, or `None` if `n` is 0 or exceeds
     /// the label count.
     pub fn suffix(&self, n: usize) -> Option<DomainName> {
-        if n == 0 || n > self.label_count() {
-            return None;
+        let mut name = self.clone();
+        for _ in n..self.label_count() {
+            name = name.parent()?;
         }
-        if n == self.label_count() {
-            return Some(self.clone());
-        }
-        let idx = self.label_count() - n;
-        let start = usize::from(self.0.label_starts[idx]);
-        Some(DomainName::from_normalized(&self.0.name[start..]))
+        (n <= self.label_count()).then_some(name)
     }
 
     /// The top-level domain (rightmost label).
     pub fn tld(&self) -> &str {
-        let start = usize::from(*self.0.label_starts.last().expect("names have >= 1 label"));
-        &self.0.name[start..]
+        self.labels().last().expect("names have >= 1 label")
     }
 
     /// The registrable apex: the two rightmost labels (this simulation uses
@@ -250,26 +217,13 @@ impl DomainName {
 
     /// The name with its leftmost label removed, or `None` at a TLD.
     pub fn parent(&self) -> Option<DomainName> {
-        self.suffix(self.label_count().checked_sub(1)?)
+        self.0.parent.clone()
     }
 
     /// True if `self` is equal to or underneath `other`
     /// (`www.example.com` is a subdomain of `example.com` and of itself).
     pub fn is_subdomain_of(&self, other: &DomainName) -> bool {
-        if Arc::ptr_eq(&self.0, &other.0) {
-            return true;
-        }
-        let name = &*self.0.name;
-        let tail = &*other.0.name;
-        if name.len() == tail.len() {
-            return name == tail;
-        }
-        // A proper subdomain ends with ".<other>" — both names are
-        // normalized, so a byte suffix check with a label boundary is
-        // exactly the label-wise suffix relation.
-        name.len() > tail.len()
-            && name.ends_with(tail)
-            && name.as_bytes()[name.len() - tail.len() - 1] == b'.'
+        self.suffix(other.label_count()).as_ref() == Some(other)
     }
 
     /// Prefixes a label, e.g. `"example.com".prepend("www")`.
@@ -278,7 +232,20 @@ impl DomainName {
     ///
     /// Returns [`DnsError::ParseName`] if the resulting name is invalid.
     pub fn prepend(&self, label: &str) -> Result<DomainName, DnsError> {
-        DomainName::parse(&format!("{label}.{}", self.as_str()))
+        let mut name = String::with_capacity(label.len() + 1 + self.0.name.len());
+        name.push_str(label);
+        name.push('.');
+        name.push_str(&self.0.name);
+        // `self` is already valid and normalized; only `label` is checked.
+        match check_labels(label) {
+            Some(needs_lowering) if name.len() <= MAX_NAME_LEN => {
+                if needs_lowering {
+                    name[..label.len()].make_ascii_lowercase();
+                }
+                Ok(INTERNER.intern(&name))
+            }
+            _ => Err(DnsError::ParseName(name)),
+        }
     }
 
     /// All suffixes from the whole name down to the TLD, longest first.
@@ -291,9 +258,7 @@ impl DomainName {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn suffixes(&self) -> impl Iterator<Item = DomainName> + '_ {
-        (1..=self.label_count())
-            .rev()
-            .filter_map(move |n| self.suffix(n))
+        std::iter::successors(Some(self.clone()), DomainName::parent)
     }
 
     /// True if any label contains `needle` as a substring. This is the
@@ -320,11 +285,9 @@ impl DomainName {
 
 impl PartialEq for DomainName {
     fn eq(&self, other: &Self) -> bool {
-        // Interning makes pointer identity the common case; the content
-        // fallback keeps equality correct for handles that bypassed the
-        // same intern table (e.g. across future serialization paths).
-        Arc::ptr_eq(&self.0, &other.0)
-            || (self.0.hash == other.0.hash && self.0.name == other.0.name)
+        // Every handle comes from the intern table, which holds one
+        // payload per name.
+        std::ptr::eq(self.0, other.0)
     }
 }
 
@@ -344,7 +307,7 @@ impl PartialOrd for DomainName {
 
 impl Ord for DomainName {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if Arc::ptr_eq(&self.0, &other.0) {
+        if self == other {
             return std::cmp::Ordering::Equal;
         }
         self.0.name.cmp(&other.0.name)
@@ -467,7 +430,9 @@ mod tests {
             name("example.com").prepend("www").unwrap(),
             name("www.example.com")
         );
+        assert_eq!(name("b.com").prepend("A.Dev").unwrap(), name("a.dev.b.com"));
         assert!(name("example.com").prepend("").is_err());
+        assert!(name("example.com").prepend("a.").is_err());
         assert!(name("example.com").prepend("bad label").is_err());
     }
 
@@ -491,17 +456,52 @@ mod tests {
     fn interning_unifies_handles() {
         let a = name("intern-unify.example.com");
         let b = name("Intern-Unify.EXAMPLE.com.");
-        assert!(Arc::ptr_eq(&a.0, &b.0), "same name interns to one payload");
+        assert!(std::ptr::eq(a.0, b.0), "same name interns to one payload");
         let c = a.clone();
-        assert!(Arc::ptr_eq(&a.0, &c.0), "clone is a refcount bump");
+        assert!(std::ptr::eq(a.0, c.0), "clone copies the pointer");
     }
 
     #[test]
     fn suffix_handles_are_interned_too() {
         let full = name("www.intern-suffix.example.com");
-        let apex = full.suffix(3).unwrap();
-        let parsed = name("intern-suffix.example.com");
-        assert!(Arc::ptr_eq(&apex.0, &parsed.0));
+        let labels: Vec<&str> = full.labels().collect();
+        let same = |handle: DomainName, from: usize| {
+            let parsed = name(&labels[from..].join("."));
+            assert!(std::ptr::eq(handle.0, parsed.0), "{handle} vs {parsed}");
+        };
+        for n in 1..=labels.len() {
+            let depth = labels.len() - n;
+            let suffix = full.suffix(n).unwrap();
+            same(suffix.clone(), depth);
+            same(suffix.apex(), labels.len() - n.min(2));
+            match suffix.parent() {
+                Some(parent) => same(parent, depth + 1),
+                None => assert_eq!(n, 1, "only the TLD has no parent"),
+            }
+        }
+    }
+
+    #[test]
+    fn racing_parses_share_one_parent_chain() {
+        const THREADS: usize = 8;
+        let barrier = std::sync::Barrier::new(THREADS);
+        let handles: Vec<DomainName> = std::thread::scope(|scope| {
+            let parsers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        name("w.intern-race.probe.racetld")
+                    })
+                })
+                .collect();
+            parsers.into_iter().map(|p| p.join().unwrap()).collect()
+        });
+        for handle in &handles {
+            assert_eq!(handle.suffixes().count(), 4);
+            for (ours, first) in handle.suffixes().zip(handles[0].suffixes()) {
+                assert!(std::ptr::eq(ours.0, first.0), "{ours} has one payload");
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,24 @@ fn apex() -> impl Strategy<Value = DomainName> {
         .prop_map(|(sld, tld)| format!("{sld}.{tld}").parse().expect("valid"))
 }
 
+/// Labels to prepend: junk, mixed-case multi-label runs, and runs long
+/// enough to push the joined name past 253 bytes.
+fn prefix() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[ -~]{0,12}",
+        "[A-Za-z0-9_.-]{0,20}",
+        "([a-z]{40,63}\\.){4}[a-z]{1,20}",
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn prepend_matches_parsing_the_joined_name(apex in apex(), prefix in prefix()) {
+        let joined = DomainName::parse(&format!("{prefix}.{apex}"));
+        prop_assert_eq!(apex.prepend(&prefix), joined, "prefix {:?}", prefix);
+    }
 
     #[test]
     fn zone_lookup_is_consistent_with_membership(

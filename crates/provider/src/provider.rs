@@ -203,6 +203,47 @@ impl std::fmt::Debug for Counter {
     }
 }
 
+/// Query-name -> apex index that also answers the apex-query fallback
+/// ("whatever `www.<apex>` maps to") from the apex itself, so answering
+/// never builds the `www` name.
+#[derive(Clone, Debug, Default)]
+struct NameIndex {
+    by_name: HashMap<DomainName, DomainName>,
+    /// `P` -> `by_name["www.P"]`, kept in step with `by_name`.
+    by_www_parent: HashMap<DomainName, DomainName>,
+}
+
+impl NameIndex {
+    /// `P` for a name of the form `www.P`.
+    fn www_parent(name: &DomainName) -> Option<DomainName> {
+        name.parent()
+            .filter(|_| name.labels().next() == Some("www"))
+    }
+
+    fn insert(&mut self, name: DomainName, apex: DomainName) {
+        if let Some(parent) = Self::www_parent(&name) {
+            self.by_www_parent.insert(parent, apex.clone());
+        }
+        self.by_name.insert(name, apex);
+    }
+
+    fn remove(&mut self, name: &DomainName) {
+        if let Some(parent) = Self::www_parent(name) {
+            self.by_www_parent.remove(&parent);
+        }
+        self.by_name.remove(name);
+    }
+
+    fn get(&self, name: &DomainName) -> Option<&DomainName> {
+        self.by_name.get(name)
+    }
+
+    /// What `www.<apex of name>` maps to.
+    fn get_by_apex(&self, name: &DomainName) -> Option<&DomainName> {
+        self.by_www_parent.get(&name.apex())
+    }
+}
+
 /// One simulated DPS/CDN provider (see module docs).
 #[derive(Clone, Debug)]
 pub struct DpsProvider {
@@ -223,10 +264,10 @@ pub struct DpsProvider {
     // Control plane.
     accounts: HashMap<DomainName, CustomerAccount>,
     /// Query-name (www host or CNAME token) -> apex, for enrolled customers.
-    name_index: HashMap<DomainName, DomainName>,
+    name_index: NameIndex,
     residuals: HashMap<DomainName, ResidualRecord>,
     /// Query-name -> apex, for residual records.
-    residual_index: HashMap<DomainName, DomainName>,
+    residual_index: NameIndex,
     generations: HashMap<DomainName, u32>,
     // Stats.
     queries_answered: Counter,
@@ -357,9 +398,9 @@ impl DpsProvider {
             scrubbers,
             infra_apexes,
             accounts: HashMap::new(),
-            name_index: HashMap::new(),
+            name_index: NameIndex::default(),
             residuals: HashMap::new(),
-            residual_index: HashMap::new(),
+            residual_index: NameIndex::default(),
             generations: HashMap::new(),
             queries_answered: Counter::default(),
             queries_ignored: Counter::default(),
@@ -1018,19 +1059,14 @@ impl DpsProvider {
         let response = self
             .name_index
             .get(&query.name)
-            .or_else(|| {
-                // Apex queries for NS-based customers index via the host.
-                self.name_index.get(&query.name.apex().prepend("www").ok()?)
-            })
+            // Apex queries for NS-based customers index via the host.
+            .or_else(|| self.name_index.get_by_apex(&query.name))
             .and_then(|apex| self.accounts.get(apex))
             .and_then(|account| self.answer_for_account(account, query))
             .or_else(|| {
                 self.residual_index
                     .get(&query.name)
-                    .or_else(|| {
-                        self.residual_index
-                            .get(&query.name.apex().prepend("www").ok()?)
-                    })
+                    .or_else(|| self.residual_index.get_by_apex(&query.name))
                     .and_then(|apex| self.residuals.get(apex))
                     .and_then(|record| self.answer_for_residual(record, now, query))
             })

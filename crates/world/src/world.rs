@@ -69,6 +69,12 @@ pub struct World {
     infra_delegation: HashMap<DomainName, ProviderId>,
     /// Multi-CDN balancer tokens: cedexis hostname -> site.
     cedexis_index: HashMap<DomainName, SiteId>,
+    /// The balancer's own domain.
+    cedexis_apex: DomainName,
+    /// The balancer's nameserver, as a referral's nameserver list.
+    cedexis_ns: [(DomainName, Ipv4Addr); 1],
+    /// Per-site answer names, indexed by [`SiteId`].
+    site_names: Vec<SiteNames>,
     pub(crate) origin_alloc: IpAllocator,
     pub(crate) events: Vec<BehaviorEvent>,
     pub(crate) resume_schedule: Vec<(SimTime, SiteId, ProviderId)>,
@@ -85,6 +91,16 @@ pub struct World {
     dns_answers_by_class: [AtomicU64; ServerClass::ALL.len()],
     http_requests: u64,
     http_answered: u64,
+}
+
+/// Names a site's answers carry besides its apex and `www` host, built
+/// when the site is generated or enrolled so answering builds none.
+#[derive(Clone, Default)]
+struct SiteNames {
+    /// `mail.<apex>`, for sites with MX.
+    mail: Option<DomainName>,
+    /// The multi-CDN balancer token, for multi-CDN sites.
+    cedexis: Option<DomainName>,
 }
 
 /// The class of authoritative server that answered a fabric query.
@@ -189,6 +205,12 @@ impl World {
             hosting_owner,
             infra_delegation,
             cedexis_index: HashMap::new(),
+            cedexis_apex: DomainName::parse("cedexis.net").expect("static name"),
+            cedexis_ns: [(
+                DomainName::parse("ns1.cedexis.net").expect("static name"),
+                CEDEXIS_NS_IP,
+            )],
+            site_names: Vec::with_capacity(config.population),
             origin_alloc,
             events: Vec::new(),
             resume_schedule: Vec::new(),
@@ -236,6 +258,10 @@ impl World {
                 state: SiteState::SelfHosted,
                 scheduled_resume: None,
             };
+            world.site_names.push(SiteNames {
+                mail: has_mx.then(|| apex.prepend("mail").expect("mail.<apex> is valid")),
+                cedexis: None,
+            });
             world.by_apex.insert(apex, id);
             world.origin_owner.insert(origin, id);
             world.sites.push(site);
@@ -314,6 +340,9 @@ impl World {
             hosting_owner: self.hosting_owner.clone(),
             infra_delegation: self.infra_delegation.clone(),
             cedexis_index: self.cedexis_index.clone(),
+            cedexis_apex: self.cedexis_apex.clone(),
+            cedexis_ns: self.cedexis_ns.clone(),
+            site_names: self.site_names.clone(),
             origin_alloc: self.origin_alloc.clone(),
             events: self.events.clone(),
             resume_schedule: self.resume_schedule.clone(),
@@ -413,9 +442,8 @@ impl World {
             return referral(query, &apex, &nameservers);
         }
         // The multi-CDN balancer's own domain.
-        if apex.as_str() == "cedexis.net" {
-            let host = DomainName::parse("ns1.cedexis.net").expect("static name");
-            return referral(query, &apex, &[(host, CEDEXIS_NS_IP)]);
+        if apex == self.cedexis_apex {
+            return referral(query, &apex, &self.cedexis_ns);
         }
         // Hosting providers' own domains.
         for (host, addr) in &self.hosting_ns {
@@ -486,8 +514,8 @@ impl World {
 
         let is_www = query.name == site.www;
         let is_apex = query.name == site.apex;
-        let is_dev = site.leaky_subdomain && Some(&query.name) == dev_host(site).as_ref();
-        let is_mail = site.has_mx && Some(&query.name) == mail_host(site).as_ref();
+        let is_dev = site.leaky_subdomain && is_child(&query.name, "dev", &site.apex);
+        let is_mail = site.has_mx && is_child(&query.name, "mail", &site.apex);
         if !is_www && !is_apex && !is_dev && !is_mail {
             return Response::empty(query.clone(), Rcode::NxDomain);
         }
@@ -509,7 +537,10 @@ impl World {
                 Response::answer(query.clone(), answers)
             }
             RecordType::Mx if is_apex && site.has_mx => {
-                let exchange = mail_host(site).expect("has_mx implies a mail host");
+                let exchange = self.site_names[site_id.0 as usize]
+                    .mail
+                    .clone()
+                    .expect("has_mx implies a mail host");
                 Response::answer(
                     query.clone(),
                     vec![ResourceRecord::new(
@@ -577,14 +608,14 @@ impl World {
             } => {
                 // Multi-CDN customers CNAME to the balancer, which picks
                 // the serving CDN per query (see `cedexis_answer`).
-                if site.multi_cdn.is_some() {
+                if let Some(token) = &self.site_names[site.id.0 as usize].cedexis {
                     return match query.rtype {
                         RecordType::A | RecordType::Cname => Response::answer(
                             query.clone(),
                             vec![ResourceRecord::new(
                                 query.name.clone(),
                                 SELF_CNAME_TTL,
-                                RecordData::Cname(cedexis_token(&site.apex)),
+                                RecordData::Cname(token.clone()),
                             )],
                         ),
                         _ => Response::empty(query.clone(), Rcode::NoError),
@@ -629,8 +660,7 @@ impl World {
     /// redirection that makes usage behaviors unidentifiable, Sec IV-B.3).
     fn cedexis_answer(&self, query: &Query) -> Response {
         let Some(site_id) = self.cedexis_index.get(&query.name) else {
-            let cedexis = DomainName::parse("cedexis.net").expect("static name");
-            return if query.name.is_subdomain_of(&cedexis) {
+            return if query.name.is_subdomain_of(&self.cedexis_apex) {
                 Response::empty(query.clone(), Rcode::NxDomain)
             } else {
                 Response::empty(query.clone(), Rcode::Refused)
@@ -701,13 +731,13 @@ impl World {
             let dps = &mut self.providers[provider.index()];
             let site = &self.sites[id.0 as usize];
             if site.leaky_subdomain {
-                if let Some(dev) = dev_host(site) {
+                if let Ok(dev) = site.apex.prepend("dev") {
                     dps.add_dns_only_record(&apex, dev, auxiliary_address(site, true))
                         .expect("freshly enrolled NS account accepts records");
                 }
             }
             if site.has_mx {
-                if let Some(mail) = mail_host(site) {
+                if let Some(mail) = self.site_names[id.0 as usize].mail.clone() {
                     dps.set_mx(&apex, mail.clone())
                         .expect("freshly enrolled NS account accepts records");
                     dps.add_dns_only_record(&apex, mail, auxiliary_address(site, false))
@@ -756,7 +786,9 @@ impl World {
             .enroll(now, &apex, origin, ServicePlan::Pro, ReroutingMethod::Cname)
             .expect("multi-cdn pool providers accept CNAME enrollments");
         self.sites[id.0 as usize].multi_cdn = Some((first, second));
-        self.cedexis_index.insert(cedexis_token(&apex), id);
+        let token = cedexis_token(&apex);
+        self.site_names[id.0 as usize].cedexis = Some(token.clone());
+        self.cedexis_index.insert(token, id);
     }
 
     /// Rotates a site's origin to a fresh address, informing the *current*
@@ -849,14 +881,9 @@ fn cedexis_token(apex: &DomainName) -> DomainName {
     DomainName::parse(&format!("b{h:012x}.cdx.cedexis.net")).expect("generated names are valid")
 }
 
-/// The unproxied auxiliary subdomain of a leaky site.
-fn dev_host(site: &Website) -> Option<DomainName> {
-    site.apex.prepend("dev").ok()
-}
-
-/// The mail host of a site with mail.
-fn mail_host(site: &Website) -> Option<DomainName> {
-    site.apex.prepend("mail").ok()
+/// True if `name` is exactly `<label>.<apex>`.
+fn is_child(name: &DomainName, label: &str, apex: &DomainName) -> bool {
+    name.parent().as_ref() == Some(apex) && name.labels().next() == Some(label)
 }
 
 /// Where a site's auxiliary host actually lives: `dev` always sits on the
@@ -1456,6 +1483,54 @@ mod tests {
             .sum();
         let share = cf / total as f64;
         assert!((share - 0.79).abs() < 0.03, "cloudflare share {share}");
+    }
+
+    #[test]
+    fn hosting_answers_dev_and_mail_only_at_their_exact_names() {
+        let world = small_world();
+        let self_hosted = |pred: fn(&Website) -> bool| {
+            world
+                .sites()
+                .iter()
+                .find(|s| s.state == SiteState::SelfHosted && pred(s))
+                .expect("self-hosted sites of every kind exist at this scale")
+                .clone()
+        };
+        let leaky = self_hosted(|s| s.leaky_subdomain && s.has_mx);
+        let plain = self_hosted(|s| !s.leaky_subdomain && !s.has_mx);
+        // Asks the hosting server that serves `site`'s zone.
+        let ask = |site: &Website, qname: &DomainName, rtype: RecordType| {
+            let server = world.hosting_ns[hosting_pair(site.hosting).0].1;
+            let query = Query::new(qname.clone(), rtype);
+            world
+                .query_shared(world.now(), server, Region::Oregon, &query)
+                .expect("hosting servers answer every query")
+        };
+        let under = |site: &Website, label: &str| site.apex.prepend(label).unwrap();
+
+        let dev = ask(&leaky, &under(&leaky, "dev"), RecordType::A);
+        assert_eq!(dev.answer_addresses(), vec![leaky.origin]);
+        let mail = ask(&leaky, &under(&leaky, "mail"), RecordType::A);
+        assert_eq!(
+            mail.answer_addresses(),
+            vec![auxiliary_address(&leaky, false)]
+        );
+        let mx = ask(&leaky, &leaky.apex, RecordType::Mx);
+        assert!(matches!(
+            &mx.answers[0].data,
+            RecordData::Mx { exchange, .. } if *exchange == under(&leaky, "mail")
+        ));
+
+        let dev_www = under(&leaky, "www").prepend("dev").unwrap();
+        for (site, qname) in [
+            (&leaky, under(&leaky, "xdev")),
+            (&leaky, dev_www),
+            (&plain, under(&plain, "dev")),
+            (&plain, under(&plain, "mail")),
+        ] {
+            let response = ask(site, &qname, RecordType::A);
+            assert_eq!(response.rcode, Rcode::NxDomain, "{qname}");
+        }
     }
 
     #[test]
