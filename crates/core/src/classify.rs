@@ -15,11 +15,19 @@
 //! fans out through the deterministic work-claiming engine
 //! ([`ScanEngine::sweep_shards`]) — one task per block, positional
 //! merge — so the assembled columns are byte-identical at any worker
-//! count. Both the live [`crate::StudySession`] (under delta collection)
-//! and the query layer's `ClassifiedStore` share this cache; each feeds
-//! the columns into [`crate::SnapshotPasses::observe_columns`], so the
-//! cached and uncached paths run the *same* fold arithmetic and differ
-//! only in who computed the columns.
+//! count. Both the live [`crate::StudySession`] (every round, in either
+//! collection mode) and the query layer's `ClassifiedStore` share this
+//! cache; each feeds the columns into
+//! [`crate::SnapshotPasses::observe_columns`], so the cached and uncached
+//! paths run the *same* fold arithmetic and differ only in who computed
+//! the columns.
+//!
+//! The cache holds one round. A block can only be reused by the round
+//! right after the one that classified it — delta collection splices the
+//! previous round's slots, and a store's chained shard also appears in
+//! the previous round — so each call keeps just the entries of the round
+//! it classified. Older entries would pin their blocks for the whole
+//! campaign without ever hitting again.
 //!
 //! Cache hit/miss counts are deliberately kept out of the byte-compared
 //! study reports (the `CollectionReport` discipline): they depend on the
@@ -28,7 +36,7 @@
 //! [`ShardClassCache::misses`] or export them explicitly with
 //! [`Instrumented::export_into`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use remnant_engine::ScanEngine;
@@ -124,7 +132,8 @@ impl ShardClassCache {
         self.misses
     }
 
-    /// Distinct classified columns held.
+    /// Classified columns held: the distinct blocks of the last round
+    /// classified.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -135,8 +144,9 @@ impl ShardClassCache {
     }
 
     /// Classifies one round into per-shard columns, reusing cached
-    /// columns for every block whose backing is unchanged since it was
-    /// last classified. Cache misses are classified through
+    /// columns for every block whose backing is unchanged since the
+    /// previous call, then drops the entries this round did not use.
+    /// Cache misses are classified through
     /// [`ScanEngine::sweep_shards`] — one task per missing block, merged
     /// positionally — so the returned columns are byte-identical at any
     /// worker count.
@@ -184,14 +194,19 @@ impl ShardClassCache {
                 columns[i] = Some(column);
             }
         }
+        // Keep only this round's entries: a round can reuse blocks from
+        // the round before it and no older one, and every entry pins its
+        // block while it lives.
+        let round: HashSet<BlockKey> = sources.iter().map(|(_, source)| source.key()).collect();
+        self.entries.retain(|key, _| round.contains(key));
         columns
             .into_iter()
             .map(|c| c.expect("every block classified or cached"))
             .collect()
     }
 
-    /// Classifies one round and concatenates the columns — the
-    /// convenience used by the live session's delta path.
+    /// Classifies one round and concatenates the columns — the live
+    /// session's classification path in both collection modes.
     pub fn classify_snapshot(
         &mut self,
         engine: &ScanEngine,
@@ -270,6 +285,33 @@ mod tests {
         for (a, b) in first.iter().zip(&fresh) {
             assert_eq!(&a.classes[..], &b.classes[..], "same bytes, same classes");
         }
+    }
+
+    #[test]
+    fn cache_holds_only_the_last_round() {
+        let detector = BehaviorDetector::new();
+        let mut cache = ShardClassCache::new();
+        let engine = engine(2);
+        for day in 0..3 {
+            cache.classify_blocks(&engine, &detector, &snapshot(day, 40, 8));
+        }
+        assert_eq!(cache.misses(), 15, "every rebuilt block was classified");
+        assert_eq!(cache.len(), 5, "one round's blocks, not three");
+
+        // A round that reuses some of the last round's blocks keeps
+        // exactly its own blocks.
+        let last = snapshot(3, 40, 8);
+        cache.classify_blocks(&engine, &detector, &last);
+        let mut builder = DnsSnapshot::builder(SimTime::default(), 4, 8);
+        for (i, (_, source)) in last.block_sources().enumerate() {
+            match source {
+                BlockSource::Resident(block) if i % 2 == 0 => builder.push_block(block),
+                _ => (8 * i..8 * (i + 1)).for_each(|rank| builder.push(site(rank))),
+            }
+        }
+        cache.classify_blocks(&engine, &detector, &builder.finish());
+        assert_eq!((cache.hits(), cache.misses()), (3, 22));
+        assert_eq!(cache.len(), 5);
     }
 
     #[test]

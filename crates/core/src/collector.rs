@@ -5,26 +5,36 @@
 //! ... we purge the DNS cache of the resolver before performing each
 //! experiment."
 //!
-//! Three collection paths share one per-site task:
+//! Every round resolves each site through one per-site task
+//! (`resolve_site`). There are two ways to run a round:
 //!
-//! - [`RecordCollector::collect`] — sequential, in-memory.
-//! - [`RecordCollector::collect_with`] / [`DeltaCollector::collect_with`] —
-//!   engine-sharded, in-memory; delta mode replays clean shards from the
-//!   previous round by `Arc` block sharing.
-//! - [`RecordCollector::collect_spilled`] /
-//!   [`DeltaCollector::collect_spilled`] — engine-sharded and
-//!   *memory-bounded*: shards execute in batches of at most
-//!   `resident_shards`, each completed shard's block is written to the
-//!   round's spill file and dropped, and the returned snapshot holds
-//!   [`SpillRef`](crate::spill::SpillRef)s instead of resident blocks. Delta mode replays clean
-//!   shards as references into *older* rounds' files — structural sharing
-//!   on disk — so a round's resident working set is the batch, never the
-//!   population.
+//! - [`RecordCollector::collect`] — sequential and in-memory, through one
+//!   purged resolver.
+//! - Every engine-backed collect — [`RecordCollector::collect_with`],
+//!   [`DeltaCollector::collect_with`] and
+//!   [`DeltaCollector::collect_spilled`] — is a short call into one
+//!   private round driver. The driver sweeps the round's selected shards
+//!   through the engine (a fresh resolver per shard) and hands each
+//!   finished block to a sink: a resident `Arc` slot, or the round's spill
+//!   file, written in batches of at most `resident_shards` so a round's
+//!   resident working set is the batch, never the population. One
+//!   function then splices the fresh blocks with any shards replayed from
+//!   the previous round into the snapshot.
+//!
+//! Which shards a round selects is the collector's policy, taken from the
+//! study's [`CollectionMode`]: full mode selects every shard every round;
+//! delta mode selects the shards whose zone generations changed plus a
+//! refresh stratum, and replays the rest (`Arc` clones in memory,
+//! [`SpillRef`](crate::spill::SpillRef) clones into older round files on
+//! disk).
 //!
 //! All paths produce byte-identical snapshots (same block layout = same
 //! shard plan) for any worker count, which is what the in-memory-vs-spill
 //! and full-vs-delta differential tests assert.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,6 +48,7 @@ use remnant_sim::{SeedSeq, SimClock};
 
 use crate::snapshot::{BlockSlot, DnsSnapshot, RecordBlock, SiteRecords, DEFAULT_BLOCK_SIZE};
 use crate::spill::{SpillConfig, SpillError, SpillMeta, SpillWriter};
+use crate::study::CollectionMode;
 
 /// A collection target: `(apex, www host)`.
 pub type Target = (DomainName, DomainName);
@@ -84,8 +95,7 @@ impl RecordCollector {
         self.rounds += 1;
         let mut builder = DnsSnapshot::builder(self.clock.now(), day, DEFAULT_BLOCK_SIZE);
         for (apex, www) in targets {
-            let records = self.collect_site(transport, apex, www);
-            builder.push(records);
+            builder.push(resolve_site(&mut self.resolver, transport, apex, www));
         }
         builder.finish()
     }
@@ -110,106 +120,16 @@ impl RecordCollector {
         day: u32,
     ) -> (DnsSnapshot, SweepStats) {
         self.rounds += 1;
-        let clock = self.clock.clone();
-        let region = self.region;
-        let sweep = engine.sweep_with_finish(
-            transport,
-            targets,
-            |_shard| RecursiveResolver::new(clock.clone(), region),
-            site_task,
-            |resolver, scope| resolver.export_into(scope.metrics()),
-        );
-        let plan = engine.shard_plan(targets.len());
-        let mut builder =
-            DnsSnapshot::builder(self.clock.now(), day, engine.config().shard_size.max(1));
-        let mut outputs = sweep.outputs.into_iter();
-        for range in &plan {
-            builder.push_block(Arc::new(RecordBlock::from_sites(
-                outputs.by_ref().take(range.len()),
-            )));
-        }
-        (builder.finish(), sweep.stats)
-    }
-
-    /// [`RecordCollector::collect_with`], memory-bounded: shards execute in
-    /// batches of at most `spill.resident_shards` (clamped up to the worker
-    /// count), each completed batch's blocks are appended to
-    /// `<dir>/full-r<round>.rsnb` and dropped, and the returned snapshot
-    /// references the file instead of holding blocks resident.
-    ///
-    /// Deterministic output is unchanged: shards keep their full-sweep
-    /// identity (RNG stream, stats row, item range) regardless of batch
-    /// boundaries, and blocks land in ascending shard order, so the
-    /// snapshot text/binary encodings are byte-identical to the in-memory
-    /// path at any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpillError`] if the spill directory or round file cannot
-    /// be created or written.
-    pub fn collect_spilled<T: ShardableTransport>(
-        &mut self,
-        engine: &ScanEngine,
-        transport: &T,
-        targets: &[Target],
-        day: u32,
-        spill: &SpillConfig,
-    ) -> Result<(DnsSnapshot, SweepStats), SpillError> {
-        let round = self.rounds;
-        self.rounds += 1;
-        let plan = engine.shard_plan(targets.len());
-        let path = spill.dir.join(format!("full-r{round:05}.rsnb"));
-        let mut writer =
-            create_round_file(&path, spill, engine, self.clock.now(), day, targets, &plan)?;
-
-        let clock = self.clock.clone();
-        let region = self.region;
-        let mut stats = SweepStats {
-            workers: normalized_workers(engine, plan.len()),
-            ..SweepStats::default()
-        };
-        let all: Vec<usize> = (0..plan.len()).collect();
-        for batch in all.chunks(resident_batch(engine, spill)) {
-            let sweep = engine.sweep_selected_with_finish(
-                transport,
-                targets,
-                batch,
-                |_shard| RecursiveResolver::new(clock.clone(), region),
-                site_task,
-                |resolver, scope| resolver.export_into(scope.metrics()),
-            );
-            let mut outputs = sweep.outputs.into_iter();
-            for &shard in batch {
-                let block = RecordBlock::from_sites(outputs.by_ref().take(plan[shard].len()));
-                writer.append_block(shard as u32, &block)?;
-            }
-            stats.shards.extend(sweep.stats.shards);
-            stats.timings.extend(sweep.stats.timings);
-            stats.wall += sweep.stats.wall;
-        }
-
-        let (_file, refs) = writer.finish()?;
-        let mut builder =
-            DnsSnapshot::builder(self.clock.now(), day, engine.config().shard_size.max(1));
-        for r in refs {
-            builder.push_spilled(r);
-        }
-        Ok((builder.finish(), stats))
-    }
-
-    /// Collects A + CNAME chain for the www host and NS for the apex.
-    fn collect_site<T: DnsTransport>(
-        &mut self,
-        transport: &mut T,
-        apex: &DomainName,
-        www: &DomainName,
-    ) -> SiteRecords {
-        resolve_site(&mut self.resolver, transport, apex, www)
+        let round = Round::new(&self.clock, self.region, engine, transport, targets, day);
+        let every_shard: Vec<usize> = (0..round.plan.len()).collect();
+        round
+            .run(&every_shard, None, None)
+            .expect("a resident round does no I/O")
     }
 }
 
-/// The per-site record collection both paths share: A + CNAME chain for the
-/// www host, NS for the apex.
+/// The per-site record collection every path shares: A + CNAME chain for
+/// the www host, NS for the apex.
 fn resolve_site<T: DnsTransport>(
     resolver: &mut RecursiveResolver,
     transport: &mut T,
@@ -227,9 +147,8 @@ fn resolve_site<T: DnsTransport>(
     records
 }
 
-/// The engine task shared by every engine-backed collection path —
-/// identical closures are what makes a delta-mode or spill-mode shard's
-/// resolution byte-identical to the full in-memory shard's.
+/// The engine task of every engine-backed round: [`resolve_site`] plus
+/// the shard's query and resolver-cache counters.
 fn site_task<T: ShardableTransport + ?Sized>(
     transport: &T,
     resolver: &mut RecursiveResolver,
@@ -246,41 +165,197 @@ fn site_task<T: ShardableTransport + ?Sized>(
     TaskResult::Done(records)
 }
 
-/// The worker count a full sweep over `shards` shards would report.
-fn normalized_workers(engine: &ScanEngine, shards: usize) -> usize {
-    engine.config().workers.max(1).min(shards.max(1))
+/// The freshly resolved part of one round, in selected-shard order.
+#[derive(Default)]
+struct FreshShards {
+    blocks: Vec<BlockSlot>,
+    stats: Vec<ShardStats>,
+    timings: Vec<ShardTiming>,
+    wall: Duration,
 }
 
-/// Shards resident at once during a streaming collect: the configured
+/// One engine-backed collection round: the driver behind every
+/// `collect_with` and `collect_spilled`.
+struct Round<'a, T> {
+    clock: &'a SimClock,
+    region: Region,
+    engine: &'a ScanEngine,
+    transport: &'a T,
+    targets: &'a [Target],
+    day: u32,
+    /// The engine's shard plan over `targets`; block `i` of the snapshot
+    /// holds shard `i`.
+    plan: Vec<Range<usize>>,
+}
+
+impl<'a, T: ShardableTransport> Round<'a, T> {
+    fn new(
+        clock: &'a SimClock,
+        region: Region,
+        engine: &'a ScanEngine,
+        transport: &'a T,
+        targets: &'a [Target],
+        day: u32,
+    ) -> Self {
+        Round {
+            clock,
+            region,
+            engine,
+            transport,
+            targets,
+            day,
+            plan: engine.shard_plan(targets.len()),
+        }
+    }
+
+    /// Resolves the `selected` shards (ascending), sinks their blocks —
+    /// resident, or into the spill file `spill` names — and assembles the
+    /// round with the unselected shards replayed from `replay`.
+    fn run(
+        &self,
+        selected: &[usize],
+        replay: Option<&DeltaCache>,
+        spill: Option<(&SpillConfig, String)>,
+    ) -> Result<(DnsSnapshot, SweepStats), SpillError> {
+        let fresh = self.sweep(selected, spill)?;
+        Ok(self.assemble(selected, fresh, replay))
+    }
+
+    /// Sweeps the `selected` shards with their full-sweep identity (RNG
+    /// stream, stats row, item range), so each shard's block and counters
+    /// are byte-identical however the shards are batched.
+    ///
+    /// A resident round sweeps in one batch and keeps every block as an
+    /// `Arc`. A spilled round sweeps in batches of [`resident_batch`]
+    /// shards, appends each batch's blocks to the round file in ascending
+    /// shard order and drops them, and returns the file's frame refs.
+    fn sweep(
+        &self,
+        selected: &[usize],
+        spill: Option<(&SpillConfig, String)>,
+    ) -> Result<FreshShards, SpillError> {
+        let (mut writer, batch) = match spill {
+            Some((config, name)) => (
+                Some(self.create_round_file(config, &name)?),
+                resident_batch(self.engine, config),
+            ),
+            None => (None, selected.len().max(1)),
+        };
+        let mut fresh = FreshShards::default();
+        for batch in selected.chunks(batch) {
+            let sweep = self.engine.sweep_selected_with_finish(
+                self.transport,
+                self.targets,
+                batch,
+                |_shard| RecursiveResolver::new(self.clock.clone(), self.region),
+                site_task,
+                |resolver, scope| resolver.export_into(scope.metrics()),
+            );
+            let mut outputs = sweep.outputs.into_iter();
+            for &shard in batch {
+                let block = RecordBlock::from_sites(outputs.by_ref().take(self.plan[shard].len()));
+                match writer.as_mut() {
+                    Some(writer) => writer.append_block(shard as u32, &block)?,
+                    None => fresh.blocks.push(BlockSlot::Resident(Arc::new(block))),
+                }
+            }
+            fresh.stats.extend(sweep.stats.shards);
+            fresh.timings.extend(sweep.stats.timings);
+            fresh.wall += sweep.stats.wall;
+        }
+        if let Some(writer) = writer {
+            let (_file, refs) = writer.finish()?;
+            fresh.blocks = refs.into_iter().map(BlockSlot::Spilled).collect();
+        }
+        Ok(fresh)
+    }
+
+    /// Creates the spill directory (if needed) and this round's file.
+    fn create_round_file(
+        &self,
+        spill: &SpillConfig,
+        name: &str,
+    ) -> Result<SpillWriter, SpillError> {
+        std::fs::create_dir_all(&spill.dir).map_err(|e| SpillError::Io {
+            context: "creating spill directory",
+            error: e.to_string(),
+        })?;
+        SpillWriter::create(
+            spill.dir.join(name),
+            SpillMeta {
+                taken_at: self.clock.now(),
+                day: self.day,
+                sites: self.targets.len() as u64,
+                block_size: self.block_size() as u32,
+                shard_count: self.plan.len() as u32,
+            },
+        )
+    }
+
+    /// Splices the fresh shards and the shards replayed from `replay` into
+    /// the round's snapshot and full-length stats, in plan order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard is neither selected nor replayable.
+    fn assemble(
+        &self,
+        selected: &[usize],
+        fresh: FreshShards,
+        replay: Option<&DeltaCache>,
+    ) -> (DnsSnapshot, SweepStats) {
+        let mut builder = DnsSnapshot::builder(self.clock.now(), self.day, self.block_size());
+        // The worker count a full sweep over this plan would use, not the
+        // (possibly smaller) clamp over the selected subset.
+        let workers = self.engine.config().workers.max(1);
+        let mut stats = SweepStats {
+            workers: workers.min(self.plan.len().max(1)),
+            shards: Vec::with_capacity(self.plan.len()),
+            timings: Vec::with_capacity(self.plan.len()),
+            wall: fresh.wall,
+        };
+        let mut fresh_shards = fresh.blocks.into_iter().zip(fresh.stats).zip(fresh.timings);
+        let mut next_selected = selected.iter().copied().peekable();
+        for idx in 0..self.plan.len() {
+            if next_selected.next_if_eq(&idx).is_some() {
+                let ((block, shard_stats), timing) =
+                    fresh_shards.next().expect("one block per selected shard");
+                builder.push_slot(block);
+                stats.shards.push(shard_stats);
+                stats.timings.push(timing);
+            } else {
+                let cache = replay.expect("unselected shards replay the previous round");
+                builder.push_slot(cache.snapshot.slots()[idx].clone());
+                stats.shards.push(cache.shard_stats[idx].clone());
+                // Replayed shards cost no wall time; timings are
+                // nondeterministic and excluded from all reports anyway.
+                stats.timings.push(ShardTiming {
+                    shard: idx,
+                    wall: Duration::ZERO,
+                });
+            }
+        }
+        (builder.finish(), stats)
+    }
+
+    /// Sites per snapshot block: the configured shard size.
+    fn block_size(&self) -> usize {
+        self.engine.config().shard_size.max(1)
+    }
+}
+
+/// Shards resident at once during a spilled round: the configured
 /// budget, but never fewer than the workers that must be kept busy.
 fn resident_batch(engine: &ScanEngine, spill: &SpillConfig) -> usize {
     spill.resident_shards.max(engine.config().workers).max(1)
 }
 
-/// Creates the spill directory (if needed) and this round's file.
-fn create_round_file(
-    path: &std::path::Path,
-    spill: &SpillConfig,
-    engine: &ScanEngine,
-    taken_at: remnant_sim::SimTime,
-    day: u32,
-    targets: &[Target],
-    plan: &[std::ops::Range<usize>],
-) -> Result<SpillWriter, SpillError> {
-    std::fs::create_dir_all(&spill.dir).map_err(|e| SpillError::Io {
-        context: "creating spill directory",
-        error: e.to_string(),
-    })?;
-    SpillWriter::create(
-        path,
-        SpillMeta {
-            taken_at,
-            day,
-            sites: targets.len() as u64,
-            block_size: engine.config().shard_size.max(1) as u32,
-            shard_count: plan.len() as u32,
-        },
-    )
+/// Identity of a target list. Delta replay is valid only for the list a
+/// cache was built from; equal lengths are not enough.
+fn fingerprint(targets: &[Target]) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    targets.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// Default number of refresh strata for [`DeltaCollector`]: each shard is
@@ -305,18 +380,21 @@ pub struct DeltaRound {
     pub refresh_stratum: u64,
 }
 
-/// State a [`DeltaCollector`] carries between rounds.
+/// State a delta-mode [`DeltaCollector`] carries between rounds.
 #[derive(Debug)]
 struct DeltaCache {
     /// Shard size the cached layout was computed under; a different engine
     /// configuration invalidates the cache wholesale.
     shard_size: usize,
+    /// [`fingerprint`] of the target list the cache was built from.
+    targets: u64,
     /// Per-rank zone generation observed when the rank's shard last ran.
     generations: Vec<u64>,
-    /// Per-shard blocks from the previous round: resident `Arc`s in
-    /// in-memory mode, [`SpillRef`](crate::spill::SpillRef)s into older rounds' files in spill
-    /// mode. Cloning either is O(1) — sharing, never copying.
-    blocks: Vec<BlockSlot>,
+    /// The previous round. Its blocks are resident `Arc`s in in-memory
+    /// mode and [`SpillRef`](crate::spill::SpillRef)s into older rounds'
+    /// files in spill mode; cloning either is O(1) — sharing, never
+    /// copying.
+    snapshot: DnsSnapshot,
     /// Per-shard deterministic counters from each shard's last execution.
     shard_stats: Vec<ShardStats>,
 }
@@ -327,17 +405,10 @@ struct ShardSelection {
     selected: Vec<usize>,
     /// The round's reuse accounting.
     round: DeltaRound,
-    /// Whether the cache was valid (clean shards may be replayed).
-    cache_valid: bool,
-}
-
-/// The executed (non-replayed) portion of one round, in selected-shard
-/// order, as handed to [`DeltaCollector::splice_round`].
-struct FreshShards {
-    blocks: Vec<BlockSlot>,
-    stats: Vec<ShardStats>,
-    timings: Vec<ShardTiming>,
-    wall: Duration,
+    /// Per-rank zone generations probed this round (delta mode only).
+    generations: Vec<u64>,
+    /// [`fingerprint`] of this round's target list (delta mode only).
+    targets: u64,
 }
 
 /// The incremental record collector: a drop-in alternative to
@@ -366,10 +437,18 @@ struct FreshShards {
 /// deterministic, seed-derived stratum of shards: shard `s` is refreshed
 /// in round `r` iff `s ≡ base + r (mod strata)`, so every shard is
 /// force-refreshed at least once every `strata` rounds.
+///
+/// # Full mode
+///
+/// The study session runs both collection modes through this type. In
+/// [`CollectionMode::Full`] every round selects every shard: no generation
+/// probe, no replay cache, and spill files are named `full-r*.rsnb`
+/// instead of `delta-r*.rsnb`.
 #[derive(Debug)]
 pub struct DeltaCollector {
     clock: SimClock,
     region: Region,
+    mode: CollectionMode,
     /// Seed-derived base offset of the rotating refresh stratum.
     stratum_base: u64,
     strata: u64,
@@ -394,10 +473,25 @@ impl DeltaCollector {
         DeltaCollector {
             clock,
             region,
+            mode: CollectionMode::Delta,
             stratum_base: SeedSeq::new(seed).child("delta").derive("stratum-base"),
             strata,
             rounds: 0,
             cache: None,
+        }
+    }
+
+    /// The study session's collector: [`DeltaCollector::new`] with the
+    /// shard selection policy of `mode`.
+    pub(crate) fn for_mode(
+        clock: SimClock,
+        region: Region,
+        seed: u64,
+        mode: CollectionMode,
+    ) -> Self {
+        DeltaCollector {
+            mode,
+            ..Self::new(clock, region, seed)
         }
     }
 
@@ -406,118 +500,94 @@ impl DeltaCollector {
         self.rounds
     }
 
-    /// Decides which shards must execute this round (dirty generations,
-    /// refresh stratum, or everything on a cold/invalid cache).
-    fn select_shards(
+    /// Decides which shards must execute this round: every shard in full
+    /// mode or on a cold/invalid cache; otherwise dirty generations plus
+    /// the refresh stratum.
+    fn select_shards<T: ZoneGenerationProbe>(
         &self,
-        plan: &[std::ops::Range<usize>],
-        generations: &[u64],
-        shard_size: usize,
+        transport: &T,
+        engine: &ScanEngine,
+        plan: &[Range<usize>],
+        targets: &[Target],
         round_index: u64,
-        total: usize,
     ) -> ShardSelection {
-        let cache_valid = self.cache.as_ref().is_some_and(|c| {
-            c.shard_size == shard_size
-                && c.generations.len() == total
-                && c.blocks.len() == plan.len()
+        let mut sel = ShardSelection {
+            selected: (0..plan.len()).collect(),
+            round: DeltaRound {
+                reresolved: targets.len() as u64,
+                ..DeltaRound::default()
+            },
+            generations: Vec::new(),
+            targets: 0,
+        };
+        if self.mode == CollectionMode::Full {
+            return sel;
+        }
+        let apexes: Vec<&DomainName> = targets.iter().map(|(apex, _)| apex).collect();
+        sel.generations = transport.generations_for(&apexes);
+        sel.targets = fingerprint(targets);
+        let valid = self.cache.as_ref().filter(|c| {
+            c.shard_size == engine.config().shard_size
+                && c.targets == sel.targets
+                && c.snapshot.slots().len() == plan.len()
         });
+        // A cold cache (first round, or a changed target list or shard
+        // layout) re-resolves everything.
+        let Some(cache) = valid else {
+            return sel;
+        };
         let stratum_offset = (self.stratum_base + round_index) % self.strata;
-        let mut selected: Vec<usize> = Vec::new();
-        let mut round = DeltaRound::default();
-        if cache_valid {
-            let cache = self.cache.as_ref().expect("cache_valid checked");
-            for (idx, range) in plan.iter().enumerate() {
-                let dirty = range
-                    .clone()
-                    .any(|rank| generations[rank] != cache.generations[rank]);
-                let stratum = (idx as u64) % self.strata == stratum_offset;
-                if dirty || stratum {
-                    selected.push(idx);
-                    round.reresolved += range.len() as u64;
-                    if !dirty {
-                        round.refresh_stratum += range.len() as u64;
-                    }
-                } else {
-                    round.reused += range.len() as u64;
+        sel.selected.clear();
+        sel.round = DeltaRound::default();
+        for (idx, range) in plan.iter().enumerate() {
+            let dirty = range
+                .clone()
+                .any(|rank| sel.generations[rank] != cache.generations[rank]);
+            let stratum = (idx as u64) % self.strata == stratum_offset;
+            if dirty || stratum {
+                sel.selected.push(idx);
+                sel.round.reresolved += range.len() as u64;
+                if !dirty {
+                    sel.round.refresh_stratum += range.len() as u64;
                 }
+            } else {
+                sel.round.reused += range.len() as u64;
             }
-        } else {
-            // Cold cache (first round, or the shard layout changed):
-            // everything is dirty.
-            selected = (0..plan.len()).collect();
-            round.reresolved = total as u64;
         }
-        ShardSelection {
-            selected,
-            round,
-            cache_valid,
-        }
+        sel
     }
 
-    /// Splices executed and replayed shards into the round's full-length
-    /// snapshot + stats, caches the result, and returns it.
-    fn splice_round(
+    /// One round in this collector's mode: in memory, or streamed to the
+    /// spill directory when `spill` is set.
+    pub(crate) fn collect_round<T: ShardableTransport + ZoneGenerationProbe>(
         &mut self,
         engine: &ScanEngine,
-        plan: &[std::ops::Range<usize>],
-        generations: Vec<u64>,
-        selected: &[usize],
-        fresh: FreshShards,
+        transport: &T,
+        targets: &[Target],
         day: u32,
-    ) -> (DnsSnapshot, SweepStats) {
-        let shard_size = engine.config().shard_size;
-        let wall = fresh.wall;
-        let mut blocks = Vec::with_capacity(plan.len());
-        let mut shard_stats = Vec::with_capacity(plan.len());
-        let mut timings = Vec::with_capacity(plan.len());
-        let mut fresh_blocks = fresh.blocks.into_iter();
-        let mut fresh_stats = fresh.stats.into_iter();
-        let mut fresh_timings = fresh.timings.into_iter();
-        let mut next_selected = selected.iter().copied().peekable();
-        for idx in 0..plan.len() {
-            if next_selected.peek() == Some(&idx) {
-                next_selected.next();
-                blocks.push(fresh_blocks.next().expect("one block per selected shard"));
-                shard_stats.push(
-                    fresh_stats
-                        .next()
-                        .expect("one stats row per selected shard"),
-                );
-                timings.push(fresh_timings.next().expect("one timing per selected shard"));
-            } else {
-                let cache = self.cache.as_ref().expect("unselected shards have a cache");
-                blocks.push(cache.blocks[idx].clone());
-                shard_stats.push(cache.shard_stats[idx].clone());
-                // Replayed shards cost no wall time; timings are
-                // nondeterministic and excluded from all reports anyway.
-                timings.push(ShardTiming {
-                    shard: idx,
-                    wall: Duration::ZERO,
-                });
-            }
-        }
-        let stats = SweepStats {
-            // Report the worker count a full sweep over this plan would
-            // have used, not the (possibly smaller) clamp over the
-            // selected subset.
-            workers: normalized_workers(engine, plan.len()),
-            shards: shard_stats,
-            timings,
-            wall,
-        };
-
-        self.cache = Some(DeltaCache {
-            shard_size,
-            generations,
-            blocks: blocks.clone(),
-            shard_stats: stats.shards.clone(),
+        spill: Option<&SpillConfig>,
+    ) -> Result<(DnsSnapshot, SweepStats, DeltaRound), SpillError> {
+        let round_index = u64::from(self.rounds);
+        self.rounds += 1;
+        let round = Round::new(&self.clock, self.region, engine, transport, targets, day);
+        let sel = self.select_shards(transport, engine, &round.plan, targets, round_index);
+        let spill = spill.map(|config| {
+            (
+                config,
+                format!("{}-r{round_index:05}.rsnb", self.mode.name()),
+            )
         });
-
-        let mut builder = DnsSnapshot::builder(self.clock.now(), day, shard_size.max(1));
-        for slot in blocks {
-            builder.push_slot(slot);
+        let (snapshot, stats) = round.run(&sel.selected, self.cache.as_ref(), spill)?;
+        if self.mode == CollectionMode::Delta {
+            self.cache = Some(DeltaCache {
+                shard_size: engine.config().shard_size,
+                targets: sel.targets,
+                generations: sel.generations,
+                snapshot: snapshot.clone(),
+                shard_stats: stats.shards.clone(),
+            });
         }
-        (builder.finish(), stats)
+        Ok((snapshot, stats, sel.round))
     }
 
     /// Collects one snapshot over `targets` through `engine`, re-resolving
@@ -535,64 +605,17 @@ impl DeltaCollector {
         targets: &[Target],
         day: u32,
     ) -> (DnsSnapshot, SweepStats, DeltaRound) {
-        let round_index = u64::from(self.rounds);
-        self.rounds += 1;
-        let plan = engine.shard_plan(targets.len());
-        let apexes: Vec<&DomainName> = targets.iter().map(|(apex, _)| apex).collect();
-        let generations = transport.generations_for(&apexes);
-        let sel = self.select_shards(
-            &plan,
-            &generations,
-            engine.config().shard_size,
-            round_index,
-            targets.len(),
-        );
-
-        // Execute the selected shards with their full-sweep identity and
-        // the exact closures of `RecordCollector::collect_with`.
-        let clock = self.clock.clone();
-        let region = self.region;
-        let sweep = engine.sweep_selected_with_finish(
-            transport,
-            targets,
-            &sel.selected,
-            |_shard| RecursiveResolver::new(clock.clone(), region),
-            site_task,
-            |resolver, scope| resolver.export_into(scope.metrics()),
-        );
-        let mut outputs = sweep.outputs.into_iter();
-        let fresh_blocks: Vec<BlockSlot> = sel
-            .selected
-            .iter()
-            .map(|&idx| {
-                BlockSlot::Resident(Arc::new(RecordBlock::from_sites(
-                    outputs.by_ref().take(plan[idx].len()),
-                )))
-            })
-            .collect();
-
-        let (snapshot, stats) = self.splice_round(
-            engine,
-            &plan,
-            generations,
-            &sel.selected,
-            FreshShards {
-                blocks: fresh_blocks,
-                stats: sweep.stats.shards,
-                timings: sweep.stats.timings,
-                wall: sweep.stats.wall,
-            },
-            day,
-        );
-        (snapshot, stats, sel.round)
+        self.collect_round(engine, transport, targets, day, None)
+            .expect("a resident round does no I/O")
     }
 
     /// [`DeltaCollector::collect_with`], memory-bounded: dirty shards
-    /// execute in batches of at most `spill.resident_shards` and stream to
-    /// `<dir>/delta-r<round>.rsnb`; clean shards are replayed as
-    /// [`SpillRef`](crate::spill::SpillRef) clones into the older round files that last wrote them
-    /// — no load, no copy. Older round files must therefore outlive the
-    /// campaign (the spill directory is append-only).
+    /// execute in batches of at most `spill.resident_shards` (clamped up
+    /// to the worker count) and stream to `<dir>/delta-r<round>.rsnb`;
+    /// clean shards are replayed as [`SpillRef`](crate::spill::SpillRef)
+    /// clones into the older round files that last wrote them — no load,
+    /// no copy. Older round files must therefore outlive the campaign (the
+    /// spill directory is append-only).
     ///
     /// # Errors
     ///
@@ -606,64 +629,7 @@ impl DeltaCollector {
         day: u32,
         spill: &SpillConfig,
     ) -> Result<(DnsSnapshot, SweepStats, DeltaRound), SpillError> {
-        let round_index = u64::from(self.rounds);
-        self.rounds += 1;
-        let plan = engine.shard_plan(targets.len());
-        let apexes: Vec<&DomainName> = targets.iter().map(|(apex, _)| apex).collect();
-        let generations = transport.generations_for(&apexes);
-        let sel = self.select_shards(
-            &plan,
-            &generations,
-            engine.config().shard_size,
-            round_index,
-            targets.len(),
-        );
-        debug_assert!(sel.cache_valid || sel.selected.len() == plan.len());
-
-        let path = spill.dir.join(format!("delta-r{round_index:05}.rsnb"));
-        let mut writer =
-            create_round_file(&path, spill, engine, self.clock.now(), day, targets, &plan)?;
-
-        let clock = self.clock.clone();
-        let region = self.region;
-        let mut fresh_stats = Vec::with_capacity(sel.selected.len());
-        let mut fresh_timings = Vec::with_capacity(sel.selected.len());
-        let mut wall = Duration::ZERO;
-        for batch in sel.selected.chunks(resident_batch(engine, spill)) {
-            let sweep = engine.sweep_selected_with_finish(
-                transport,
-                targets,
-                batch,
-                |_shard| RecursiveResolver::new(clock.clone(), region),
-                site_task,
-                |resolver, scope| resolver.export_into(scope.metrics()),
-            );
-            let mut outputs = sweep.outputs.into_iter();
-            for &shard in batch {
-                let block = RecordBlock::from_sites(outputs.by_ref().take(plan[shard].len()));
-                writer.append_block(shard as u32, &block)?;
-            }
-            fresh_stats.extend(sweep.stats.shards);
-            fresh_timings.extend(sweep.stats.timings);
-            wall += sweep.stats.wall;
-        }
-        let (_file, refs) = writer.finish()?;
-        let fresh_blocks: Vec<BlockSlot> = refs.into_iter().map(BlockSlot::Spilled).collect();
-
-        let (snapshot, stats) = self.splice_round(
-            engine,
-            &plan,
-            generations,
-            &sel.selected,
-            FreshShards {
-                blocks: fresh_blocks,
-                stats: fresh_stats,
-                timings: fresh_timings,
-                wall,
-            },
-            day,
-        );
-        Ok((snapshot, stats, sel.round))
+        self.collect_round(engine, transport, targets, day, Some(spill))
     }
 }
 
@@ -818,10 +784,13 @@ mod tests {
         let (in_mem, mem_stats) = collector.collect_with(&engine(4), &world, &targets, 0);
 
         let spill = temp_spill("full");
-        let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-        let (spilled, spill_stats) = collector
+        let mut collector =
+            DeltaCollector::for_mode(world.clock(), Region::Ashburn, 1, CollectionMode::Full);
+        let (spilled, spill_stats, round) = collector
             .collect_spilled(&engine(4), &world, &targets, 0, &spill)
             .expect("spill round succeeds");
+        assert!(spill.dir.join("full-r00000.rsnb").exists());
+        assert_eq!(round.reresolved, targets.len() as u64);
         assert_eq!(in_mem, spilled);
         assert_eq!(in_mem.encode(), spilled.encode(), "text byte-identical");
         assert_eq!(
@@ -950,6 +919,20 @@ mod tests {
         assert_eq!(round.reused, 0, "changed target list resolves everything");
         assert_eq!(round.reresolved, 100);
         assert_eq!(snap.len(), 100);
+
+        // So does a different list of the same length: unmutated zones
+        // all probe as generation 0, so only the list's identity tells
+        // the rounds apart.
+        let others = &targets[100..];
+        let (snap, _, round) = delta.collect_with(&engine, &world, others, 2);
+        assert_eq!(
+            round.reused, 0,
+            "same-length target list resolves everything"
+        );
+        assert_eq!(round.reresolved, 100);
+        let mut full = RecordCollector::new(world.clock(), Region::Ashburn);
+        let (expected, _) = full.collect_with(&engine, &world, others, 2);
+        assert_eq!(snap, expected, "no other site's records are replayed");
     }
 
     #[test]

@@ -135,9 +135,11 @@ impl SnapshotPasses {
     /// the per-site adoption column for the round plus the global ranks
     /// flagged as multi-CDN front-ends (Sec IV-B.3). This is the entry
     /// point for the per-shard classification cache — both the live
-    /// delta-collection path and the query layer's `ClassifiedStore`
-    /// feed cached columns through here, so the fold's arithmetic (and
-    /// therefore every derived report) is shared, not re-implemented.
+    /// session (every round, in either collection mode) and the query
+    /// layer's `ClassifiedStore` feed cached columns through here, so the
+    /// fold's arithmetic (and therefore every derived report) is shared,
+    /// not re-implemented. [`observe`](SnapshotPasses::observe) stays the
+    /// uncached reference the query plans and tests compare against.
     ///
     /// # Panics
     ///
@@ -262,7 +264,6 @@ impl SnapshotPasses {
             multi_cdn_excluded: self.multi_cdn.iter().filter(|m| **m).count(),
         };
 
-        #[allow(deprecated)]
         let pauses = PauseReport {
             overall: self.pause_tracker.cdf_overall(),
             cloudflare: self.pause_tracker.cdf_for(ProviderId::Cloudflare),

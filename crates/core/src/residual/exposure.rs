@@ -23,23 +23,15 @@ impl ExposureTracker {
     /// deterministic fold over the weekly scan outputs, usable both by
     /// the live study and by a replay from persisted campaign data.
     pub fn fold<'a>(reports: impl IntoIterator<Item = &'a WeeklyScanReport>) -> Self {
-        let mut tracker = ExposureTracker::new();
-        for report in reports {
-            #[allow(deprecated)]
-            tracker.push(report);
-        }
-        tracker
-    }
-
-    /// Feeds one weekly report (in week order).
-    #[deprecated(
-        since = "0.7.0",
-        note = "build the tracker in one pass with `ExposureTracker::fold`"
-    )]
-    pub fn push(&mut self, report: &WeeklyScanReport) {
-        let hidden = report.hidden.iter().map(|h| h.rank).collect();
-        let verified = report.verified.iter().copied().collect();
-        self.weeks.push((hidden, verified));
+        let weeks = reports
+            .into_iter()
+            .map(|report| {
+                let hidden = report.hidden.iter().map(|h| h.rank).collect();
+                let verified = report.verified.iter().copied().collect();
+                (hidden, verified)
+            })
+            .collect();
+        ExposureTracker { weeks }
     }
 
     /// Number of weeks observed.

@@ -10,12 +10,19 @@
 //! them concurrently, each streaming a [`RoundProgress`] per round over a
 //! bounded channel.
 //!
+//! Each round takes one path whatever the [`CollectionMode`]: a single
+//! [`DeltaCollector`] whose shard selection follows the mode collects the
+//! round (in memory, or spilled when the config names a directory), and
+//! the session's [`ShardClassCache`] classifies the round into
+//! [`SnapshotPasses::observe_columns`].
+//!
 //! The decomposition changes *nothing* about what a campaign computes:
 //! the session executes the same operations in the same order the
 //! monolithic loop did, so reports, snapshots and obs JSON stay
 //! byte-identical — the multi-tenant differential test pins that down.
 //!
 //! [`StudyService`]: crate::service::StudyService
+//! [`CollectionMode`]: crate::study::CollectionMode
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -29,13 +36,12 @@ use remnant_provider::ProviderId;
 use remnant_world::World;
 
 use crate::classify::ShardClassCache;
-use crate::collector::{DeltaCollector, DeltaRound, RecordCollector, Target};
+use crate::collector::{DeltaCollector, Target};
 use crate::passes::SnapshotPasses;
 use crate::residual::{
     CloudflareScanner, ExposureTracker, FilterPipeline, IncapsulaScanner, WeeklyScanReport,
 };
-use crate::spill::SpillConfig;
-use crate::study::{CollectionMode, CollectionReport, StudyConfig, StudyReport};
+use crate::study::{CollectionReport, StudyConfig, StudyReport};
 use crate::unchanged::{self, UnchangedStudy};
 use crate::SCANNER_SOURCE;
 
@@ -90,7 +96,7 @@ pub struct StudySession {
     days: u32,
     day: u32,
     jitter: StdRng,
-    collector: DailyCollector,
+    collector: DeltaCollector,
     passes: SnapshotPasses,
     class_cache: ShardClassCache,
     unchanged: UnchangedStudy,
@@ -144,16 +150,12 @@ impl StudySession {
             .collect();
         let days = config.weeks * 7;
         let jitter = StdRng::seed_from_u64(config.seed);
-        let collector = match config.collection_mode {
-            CollectionMode::Full => {
-                DailyCollector::Full(RecordCollector::new(world.clock(), config.collector_region))
-            }
-            CollectionMode::Delta => DailyCollector::Delta(DeltaCollector::new(
-                world.clock(),
-                config.collector_region,
-                config.seed,
-            )),
-        };
+        let collector = DeltaCollector::for_mode(
+            world.clock(),
+            config.collector_region,
+            config.seed,
+            config.collection_mode,
+        );
         let passes = SnapshotPasses::new(targets.len());
         let unchanged = UnchangedStudy::new(SCANNER_SOURCE);
         let cf_scanner = CloudflareScanner::new(world.clock(), "cloudflare");
@@ -226,10 +228,11 @@ impl StudySession {
         self.day >= self.days
     }
 
-    /// The live classification cache's `(hits, misses)` so far — nonzero
-    /// only under delta collection. Deliberately kept out of the study
-    /// report: the counts are collection-mode-dependent, and
-    /// full-vs-delta reports compare byte-identically.
+    /// The live classification cache's `(hits, misses)` so far. Hits
+    /// come only from delta collection's replayed shards; a full round
+    /// misses on every block. Deliberately kept out of the study report:
+    /// the counts are collection-mode-dependent, and full-vs-delta
+    /// reports compare byte-identically.
     pub fn class_cache_stats(&self) -> (u64, u64) {
         (self.class_cache.hits(), self.class_cache.misses())
     }
@@ -242,6 +245,12 @@ impl StudySession {
     /// `on_snapshot` observes the round's [`crate::DnsSnapshot`] right
     /// after collection (byte-equivalence tests hook here); it must not
     /// mutate study state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a spill round's file cannot be written mid-campaign —
+    /// callers validate the spill directory up front, and a disk that
+    /// fills or vanishes afterwards is not a recoverable study state.
     pub fn round(
         &mut self,
         world: &mut World,
@@ -254,20 +263,17 @@ impl StudySession {
         let day_span = Span::enter(&self.obs, "study.day");
         self.obs
             .event("sweep.start", format!("day {day}: daily collection round"));
-        let (snapshot, sweep, delta) = self.collector.collect(
-            &self.engine,
-            world,
-            &self.targets,
-            day,
-            self.config.spill.as_ref(),
-        );
-        match delta {
-            Some(round) => self.report.collection.absorb(&round),
-            None => {
-                self.report.collection.rounds += 1;
-                self.report.collection.reresolved += self.targets.len() as u64;
-            }
-        }
+        let (snapshot, sweep, delta) = self
+            .collector
+            .collect_round(
+                &self.engine,
+                world,
+                &self.targets,
+                day,
+                self.config.spill.as_ref(),
+            )
+            .unwrap_or_else(|e| panic!("day {day} spill round failed: {e}"));
+        self.report.collection.absorb(&delta);
         on_snapshot(&snapshot);
         let round_queries = sweep.queries();
         self.obs.metrics.merge_from(&sweep.merged_metrics());
@@ -284,28 +290,21 @@ impl StudySession {
         // The snapshot-derived passes — adoption (Fig 2 / Fig 6),
         // behaviors (Fig 3), FSM validation (Fig 4), pause windows
         // (Fig 5) — run as one shared fold, the same fold the
-        // remnant-query crate replays over persisted rounds. Under delta
-        // collection, clean shards carry the previous round's block
-        // (same `Arc`/spill frame), so their classification columns come
-        // from the per-shard cache instead of being recomputed; the fold
-        // arithmetic is identical either way, keeping full-vs-delta
-        // reports byte-identical.
-        let behaviors = match self.config.collection_mode {
-            CollectionMode::Full => self.passes.observe(day, &snapshot),
-            CollectionMode::Delta => {
-                let columns = self.class_cache.classify_snapshot(
-                    &self.engine,
-                    self.passes.detector(),
-                    &snapshot,
-                );
-                self.passes.observe_columns(
-                    day,
-                    snapshot.taken_at,
-                    columns.classes,
-                    &columns.multi_cdn_ranks,
-                )
-            }
-        };
+        // remnant-query crate replays over persisted rounds. Blocks are
+        // classified through the per-shard cache: a shard that delta
+        // collection replayed carries the previous round's block (same
+        // `Arc`/spill frame) and reuses its column, every other block is
+        // classified through the engine. The fold arithmetic is the
+        // same either way, keeping full-vs-delta reports byte-identical.
+        let columns =
+            self.class_cache
+                .classify_snapshot(&self.engine, self.passes.detector(), &snapshot);
+        let behaviors = self.passes.observe_columns(
+            day,
+            snapshot.taken_at,
+            columns.classes,
+            &columns.multi_cdn_ranks,
+        );
 
         // The unchanged study (Table V) is the one behavior consumer
         // that needs a live transport: candidate extraction is pure,
@@ -446,63 +445,6 @@ impl StudySession {
     }
 }
 
-/// The session's per-mode collector dispatch: one arm per
-/// [`CollectionMode`], unified behind a `collect` that also reports the
-/// round's reuse counters (`None` in full mode).
-#[derive(Debug)]
-enum DailyCollector {
-    Full(RecordCollector),
-    Delta(DeltaCollector),
-}
-
-impl DailyCollector {
-    /// One daily round, through the in-memory or the streaming spill path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spill round's file cannot be written mid-campaign —
-    /// callers validate the spill directory up front, and a disk that
-    /// fills or vanishes afterwards is not a recoverable study state.
-    fn collect(
-        &mut self,
-        engine: &ScanEngine,
-        world: &World,
-        targets: &[Target],
-        day: u32,
-        spill: Option<&SpillConfig>,
-    ) -> (crate::DnsSnapshot, SweepStats, Option<DeltaRound>) {
-        match (self, spill) {
-            (DailyCollector::Full(collector), None) => {
-                let (snapshot, sweep) = collector.collect_with(engine, world, targets, day);
-                (snapshot, sweep, None)
-            }
-            (DailyCollector::Full(collector), Some(spill)) => {
-                let (snapshot, sweep) = collector
-                    .collect_spilled(engine, world, targets, day, spill)
-                    .unwrap_or_else(|e| panic!("day {day} spill round failed: {e}"));
-                (snapshot, sweep, None)
-            }
-            (DailyCollector::Delta(collector), None) => {
-                let (snapshot, sweep, round) = collector.collect_with(engine, world, targets, day);
-                (snapshot, sweep, Some(round))
-            }
-            (DailyCollector::Delta(collector), Some(spill)) => {
-                let (snapshot, sweep, round) = collector
-                    .collect_spilled(engine, world, targets, day, spill)
-                    .unwrap_or_else(|e| panic!("day {day} spill round failed: {e}"));
-                (snapshot, sweep, Some(round))
-            }
-        }
-    }
-
-    fn rounds(&self) -> u32 {
-        match self {
-            DailyCollector::Full(collector) => collector.rounds(),
-            DailyCollector::Delta(collector) => collector.rounds(),
-        }
-    }
-}
-
 /// Journals one weekly pipeline pass's funnel attrition.
 fn note_filter_verdict(obs: &mut Obs, weekly: &WeeklyScanReport) {
     obs.event(
@@ -587,6 +529,30 @@ mod tests {
         assert_eq!(summaries.len(), 7);
         assert_eq!(summaries[0].scanned_week, Some(0));
         assert!(summaries[1..].iter().all(|s| s.scanned_week.is_none()));
+    }
+
+    #[test]
+    fn class_cache_holds_one_round_of_entries() {
+        let mut w = world(5);
+        let config = StudyConfig::builder()
+            .weeks(2)
+            .collection_mode(crate::study::CollectionMode::Delta)
+            .build()
+            .unwrap();
+        let mut session = StudySession::new(config, &w);
+        let mut blocks = 0;
+        while session
+            .round(&mut w, &mut |s| blocks = s.block_sources().count())
+            .is_some()
+        {}
+        let (hits, misses) = session.class_cache_stats();
+        assert!(hits > 0, "delta rounds reuse columns");
+        assert_eq!(hits + misses, 14 * blocks as u64);
+        assert!(
+            session.class_cache.len() <= blocks,
+            "{} entries for a {blocks}-block round",
+            session.class_cache.len()
+        );
     }
 
     #[test]

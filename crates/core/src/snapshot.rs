@@ -373,6 +373,12 @@ impl DnsSnapshot {
         })
     }
 
+    /// The snapshot's block slots, in rank order (the delta collector's
+    /// replay source).
+    pub(crate) fn slots(&self) -> &[BlockSlot] {
+        &self.blocks
+    }
+
     /// The snapshot's blocks as identity-bearing sources, in rank order,
     /// with the global rank of each block's first site. Unlike
     /// [`blocks`](DnsSnapshot::blocks) this performs no I/O: it hands out

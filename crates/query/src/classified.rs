@@ -158,7 +158,6 @@ pub struct ClassifiedStore<'a> {
     index: ProviderIndex,
     cache_hits: u64,
     cache_misses: u64,
-    cache_entries: usize,
 }
 
 impl<'a> ClassifiedStore<'a> {
@@ -201,7 +200,6 @@ impl<'a> ClassifiedStore<'a> {
             index,
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
-            cache_entries: cache.len(),
         }
     }
 
@@ -295,10 +293,9 @@ impl Instrumented for ClassifiedStore<'_> {
         let mut counters = vec![
             (MetricKey::named(QUERY_CACHE_HIT), self.cache_hits),
             (MetricKey::named(QUERY_CACHE_MISS), self.cache_misses),
-            (
-                MetricKey::named(QUERY_CACHE_ENTRIES),
-                self.cache_entries as u64,
-            ),
+            // The rounds hold one distinct column per miss; the cache
+            // itself keeps only the last round's.
+            (MetricKey::named(QUERY_CACHE_ENTRIES), self.cache_misses),
             (
                 MetricKey::named(QUERY_INDEX_BYTES),
                 self.index.bytes() as u64,
