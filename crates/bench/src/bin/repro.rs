@@ -74,11 +74,11 @@ use std::process::ExitCode;
 
 use remnant::core::study::CollectionMode;
 use remnant_bench::{
-    render_ablation, render_fig1, render_fig2, render_fig2_adoption, render_fig3,
-    render_fig3_behaviors, render_fig4, render_fig4_behaviors, render_fig5, render_fig5_pauses,
-    render_fig6, render_fig6_adoption, render_fig7, render_fig8, render_fig8_from_obs, render_fig9,
-    render_purge, render_residual_scan, render_study_batch, render_table1, render_table2,
-    render_table5, render_table6, run_study, run_study_batch, ReproConfig,
+    render_ablation, render_fig1, render_fig2_adoption, render_fig3_behaviors,
+    render_fig4_behaviors, render_fig5_pauses, render_fig6_adoption, render_fig7,
+    render_fig8_from_obs, render_fig8_residual, render_fig9_exposure, render_purge,
+    render_residual_scan, render_study_batch, render_table1, render_table2,
+    render_table5_unchanged, render_table6_residual, run_study, run_study_batch, ReproConfig,
 };
 
 fn usage() -> ExitCode {
@@ -534,17 +534,20 @@ fn main() -> ExitCode {
 
     let render = |name: &str| -> Option<String> {
         match name {
-            "fig2" => Some(render_fig2(&config, &report)),
-            "fig3" => Some(render_fig3(&config, &report)),
-            "fig4" => Some(render_fig4(&report)),
-            "fig5" => Some(render_fig5(&report)),
-            "fig6" => Some(render_fig6(&report)),
+            "fig2" => Some(render_fig2_adoption(&config, report.adoption())),
+            "fig3" => Some(render_fig3_behaviors(&config, report.behaviors())),
+            "fig4" => Some(render_fig4_behaviors(report.behaviors())),
+            "fig5" => Some(render_fig5_pauses(report.pauses())),
+            "fig6" => Some(render_fig6_adoption(report.adoption())),
             "fig7" => Some(render_fig7(&world)),
-            "fig8" => Some(render_fig8(&report)),
+            "fig8" => Some(render_fig8_residual(report.residual())),
             "funnel" => Some(render_fig8_from_obs(report.obs())),
-            "fig9" => Some(render_fig9(&config, &report)),
-            "table5" => Some(render_table5(&config, &report)),
-            "table6" => Some(render_table6(&config, &report)),
+            "fig9" => Some(render_fig9_exposure(
+                &config,
+                &report.residual().cloudflare.exposure,
+            )),
+            "table5" => Some(render_table5_unchanged(&config, report.unchanged())),
+            "table6" => Some(render_table6_residual(&config, report.residual())),
             _ => None,
         }
     };

@@ -2,12 +2,12 @@
 //! evaluation from a [`StudyReport`], side by side with the published
 //! values.
 //!
-//! Every figure derivable from a sub-report has a `render_*_<subreport>`
-//! variant taking just that sub-report, so the live study's output and a
-//! query plan's output (an [`AdoptionReport`] from
-//! `remnant::query::AdoptionPlan`, say) render through the identical code
-//! path — the byte-identity the legacy-vs-query differential tests pin.
-//! The `StudyReport`-taking functions delegate to them.
+//! Every figure derivable from a sub-report renders from just that
+//! sub-report (`render_*_<subreport>`), so the live study's output
+//! (`report.adoption()`, say) and a query plan's output (an
+//! [`AdoptionReport`] from `remnant::query::AdoptionPlan`) render through
+//! the identical code path — the byte-identity the legacy-vs-query
+//! differential tests pin.
 //!
 //! Counts depend on population size; each rendered count is accompanied by
 //! a value linearly rescaled to the paper's 1M-site universe so shapes can
@@ -326,9 +326,9 @@ pub fn render_table2() -> String {
     format!("TABLE II: DPS provider information\n{table}")
 }
 
-/// Fig 2 from the adoption sub-report alone — the live study's
-/// [`StudyReport::adoption`] and a query-layer `AdoptionPlan` output
-/// render identically through here.
+/// Fig 2: adoption breakdown per provider, from the adoption sub-report
+/// alone — the live study's [`StudyReport::adoption`] and a query-layer
+/// `AdoptionPlan` output render identically through here.
 pub fn render_fig2_adoption(config: &ReproConfig, adoption: &AdoptionReport) -> String {
     let mut table = TextTable::new(["Provider", "Avg adopted/day", "Scaled to 1M", "Share"]);
     let total: f64 = adoption.avg_by_provider.iter().map(|(_, n)| n).sum();
@@ -358,12 +358,8 @@ pub fn render_fig2_adoption(config: &ReproConfig, adoption: &AdoptionReport) -> 
         .finish()
 }
 
-/// Fig 2: adoption breakdown per provider.
-pub fn render_fig2(config: &ReproConfig, report: &StudyReport) -> String {
-    render_fig2_adoption(config, report.adoption())
-}
-
-/// Fig 3 from the behavior sub-report alone (live study or `BehaviorPlan`).
+/// Fig 3: daily behavior counts, from the behavior sub-report (live study
+/// or `BehaviorPlan`).
 pub fn render_fig3_behaviors(config: &ReproConfig, behaviors: &BehaviorReport) -> String {
     let paper = [
         (BehaviorKind::Join, 195.0),
@@ -392,12 +388,8 @@ pub fn render_fig3_behaviors(config: &ReproConfig, behaviors: &BehaviorReport) -
     figure.finish()
 }
 
-/// Fig 3: daily behavior counts.
-pub fn render_fig3(config: &ReproConfig, report: &StudyReport) -> String {
-    render_fig3_behaviors(config, report.behaviors())
-}
-
-/// Fig 4 from the behavior sub-report alone (live study or `BehaviorPlan`).
+/// Fig 4: the FSM transition table plus the study's violation count, from
+/// the behavior sub-report (live study or `BehaviorPlan`).
 pub fn render_fig4_behaviors(behaviors: &BehaviorReport) -> String {
     let mut table = TextTable::new(["From", "Behavior", "To"]);
     for (from, kind, to) in remnant::core::fsm::transition_table() {
@@ -414,12 +406,8 @@ pub fn render_fig4_behaviors(behaviors: &BehaviorReport) -> String {
         .finish()
 }
 
-/// Fig 4: the FSM transition table plus the study's violation count.
-pub fn render_fig4(report: &StudyReport) -> String {
-    render_fig4_behaviors(report.behaviors())
-}
-
-/// Fig 5 from the pause sub-report alone (live study or `PausePlan`).
+/// Fig 5: pause-period CDFs, from the pause sub-report (live study or
+/// `PausePlan`).
 pub fn render_fig5_pauses(pauses: &PauseReport) -> String {
     FigureBuilder::new()
         .line("FIG 5: CDF of pause periods (paper: <50% resume within a day; ~30% exceed 5 days)")
@@ -434,12 +422,8 @@ pub fn render_fig5_pauses(pauses: &PauseReport) -> String {
         .finish()
 }
 
-/// Fig 5: pause-period CDFs.
-pub fn render_fig5(report: &StudyReport) -> String {
-    render_fig5_pauses(report.pauses())
-}
-
-/// Fig 6 from the adoption sub-report alone (live study or `AdoptionPlan`).
+/// Fig 6: Cloudflare rerouting split, from the adoption sub-report (live
+/// study or `AdoptionPlan`).
 pub fn render_fig6_adoption(adoption: &AdoptionReport) -> String {
     let mut table = TextTable::new(["Rerouting", "Measured", "Paper"]);
     table.row([
@@ -458,11 +442,6 @@ pub fn render_fig6_adoption(adoption: &AdoptionReport) -> String {
         .finish()
 }
 
-/// Fig 6: Cloudflare rerouting split.
-pub fn render_fig6(report: &StudyReport) -> String {
-    render_fig6_adoption(report.adoption())
-}
-
 /// Fig 7: vantage-point catchment over the provider's anycast fleet.
 pub fn render_fig7(world: &World) -> String {
     let mut table = TextTable::new(["Vantage point", "Cloudflare PoP hit"]);
@@ -479,7 +458,8 @@ pub fn render_fig7(world: &World) -> String {
     )
 }
 
-/// Fig 8 from the residual sub-report alone.
+/// Fig 8: the filtering funnel of the final week, from the residual
+/// sub-report.
 pub fn render_fig8_residual(residual: &ResidualReport) -> String {
     let mut table = TextTable::new([
         "Provider",
@@ -509,18 +489,13 @@ pub fn render_fig8_residual(residual: &ResidualReport) -> String {
         .finish()
 }
 
-/// Fig 8: the filtering funnel of the final week.
-pub fn render_fig8(report: &StudyReport) -> String {
-    render_fig8_residual(report.residual())
-}
-
 /// Fig 8 rebuilt from the recorded metrics alone.
 ///
 /// The funnel is the query layer's [`funnel_rows`] fold over the
 /// `filter.*` counters in an [`ObsReport`] — no `WeeklyScanReport` is
 /// consulted — so the attrition table is reproducible from a
 /// `repro --metrics out.json` snapshot long after the run. The table body
-/// is identical to [`render_fig8`]'s.
+/// is identical to [`render_fig8_residual`]'s.
 pub fn render_fig8_from_obs(obs: &ObsReport) -> String {
     let mut table = TextTable::new([
         "Provider",
@@ -590,9 +565,10 @@ pub fn render_residual_scan(
         .finish()
 }
 
-/// Fig 9 from the Cloudflare exposure tracker alone — the live study's
-/// tracker and a query-side `ExposureTracker::fold` over the persisted
-/// weekly reports render identically through here.
+/// Fig 9: exposure observations across weeks, from the Cloudflare exposure
+/// tracker alone — the live study's tracker and a query-side
+/// `ExposureTracker::fold` over the persisted weekly reports render
+/// identically through here.
 pub fn render_fig9_exposure(config: &ReproConfig, cf: &ExposureTracker) -> String {
     let newly = cf.newly_exposed_per_week();
     let avg_new: f64 = if newly.len() > 1 {
@@ -622,12 +598,7 @@ pub fn render_fig9_exposure(config: &ReproConfig, cf: &ExposureTracker) -> Strin
     )
 }
 
-/// Fig 9: exposure observations across weeks.
-pub fn render_fig9(config: &ReproConfig, report: &StudyReport) -> String {
-    render_fig9_exposure(config, &report.residual().cloudflare.exposure)
-}
-
-/// Table V from the unchanged sub-report alone.
+/// Table V: origin-IP unchanged rates, from the unchanged sub-report.
 pub fn render_table5_unchanged(config: &ReproConfig, unchanged: &UnchangedReport) -> String {
     let paper: &[(ProviderId, f64)] = &[
         (ProviderId::Cloudflare, 0.595),
@@ -678,12 +649,7 @@ pub fn render_table5_unchanged(config: &ReproConfig, unchanged: &UnchangedReport
     format!("TABLE V: origin IP unchanged rate after JOIN/RESUME\n{table}")
 }
 
-/// Table V: origin-IP unchanged rates.
-pub fn render_table5(config: &ReproConfig, report: &StudyReport) -> String {
-    render_table5_unchanged(config, report.unchanged())
-}
-
-/// Table VI from the residual sub-report alone.
+/// Table VI: residual resolution in the wild, from the residual sub-report.
 pub fn render_table6_residual(config: &ReproConfig, residual: &ResidualReport) -> String {
     let mut table = TextTable::new([
         "Scan",
@@ -726,11 +692,6 @@ pub fn render_table6_residual(config: &ReproConfig, residual: &ResidualReport) -
          (fleet harvested: {} nameservers; paper: 391. tokens harvested: {})\n{table}",
         residual.fleet_size, residual.harvested_tokens
     )
-}
-
-/// Table VI: residual resolution in the wild.
-pub fn render_table6(config: &ReproConfig, report: &StudyReport) -> String {
-    render_table6_residual(config, report.residual())
 }
 
 /// Fig 1: the end-to-end threat model demo (delegates to the attack crate).
@@ -1046,16 +1007,16 @@ mod tests {
         let (config, world, report) = tiny();
         for rendered in [
             render_table2(),
-            render_fig2(&config, &report),
-            render_fig3(&config, &report),
-            render_fig4(&report),
-            render_fig5(&report),
-            render_fig6(&report),
+            render_fig2_adoption(&config, report.adoption()),
+            render_fig3_behaviors(&config, report.behaviors()),
+            render_fig4_behaviors(report.behaviors()),
+            render_fig5_pauses(report.pauses()),
+            render_fig6_adoption(report.adoption()),
             render_fig7(&world),
-            render_fig8(&report),
-            render_fig9(&config, &report),
-            render_table5(&config, &report),
-            render_table6(&config, &report),
+            render_fig8_residual(report.residual()),
+            render_fig9_exposure(&config, &report.residual().cloudflare.exposure),
+            render_table5_unchanged(&config, report.unchanged()),
+            render_table6_residual(&config, report.residual()),
         ] {
             assert!(rendered.len() > 40, "renderer produced: {rendered}");
         }
@@ -1072,7 +1033,7 @@ mod tests {
     #[test]
     fn fig8_is_reproducible_from_metrics_alone() {
         let (_, _, report) = tiny();
-        let from_report = render_fig8(&report);
+        let from_report = render_fig8_residual(report.residual());
         let from_obs = render_fig8_from_obs(report.obs());
         // Same table body: only the title line differs.
         let body = |s: &str| s.split_once('\n').map(|(_, rest)| rest.to_owned()).unwrap();

@@ -11,8 +11,9 @@
 use remnant::core::study::{CollectionMode, PaperStudy, StudyConfig, StudyReport};
 use remnant::world::{World, WorldConfig};
 use remnant_bench::{
-    render_fig2, render_fig3, render_fig4, render_fig5, render_fig6, render_fig8, render_fig9,
-    render_table5, render_table6, ReproConfig,
+    render_fig2_adoption, render_fig3_behaviors, render_fig4_behaviors, render_fig5_pauses,
+    render_fig6_adoption, render_fig8_residual, render_fig9_exposure, render_table5_unchanged,
+    render_table6_residual, ReproConfig,
 };
 
 const POPULATION: usize = 2_500;
@@ -46,15 +47,15 @@ fn rendered_output(report: &StudyReport) -> String {
         ..ReproConfig::default()
     };
     [
-        render_fig2(&config, report),
-        render_fig3(&config, report),
-        render_fig4(report),
-        render_fig5(report),
-        render_fig6(report),
-        render_fig8(report),
-        render_fig9(&config, report),
-        render_table5(&config, report),
-        render_table6(&config, report),
+        render_fig2_adoption(&config, report.adoption()),
+        render_fig3_behaviors(&config, report.behaviors()),
+        render_fig4_behaviors(report.behaviors()),
+        render_fig5_pauses(report.pauses()),
+        render_fig6_adoption(report.adoption()),
+        render_fig8_residual(report.residual()),
+        render_fig9_exposure(&config, &report.residual().cloudflare.exposure),
+        render_table5_unchanged(&config, report.unchanged()),
+        render_table6_residual(&config, report.residual()),
     ]
     .join("\n")
 }

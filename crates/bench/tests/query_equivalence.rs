@@ -18,10 +18,9 @@ use remnant::core::{DnsSnapshot, SpillConfig};
 use remnant::query::{PassesPlan, QueryPlan, SnapshotStore, UnchangedCandidatesPlan};
 use remnant::world::{World, WorldConfig};
 use remnant_bench::{
-    render_fig2, render_fig2_adoption, render_fig3, render_fig3_behaviors, render_fig4,
-    render_fig4_behaviors, render_fig5, render_fig5_pauses, render_fig6, render_fig6_adoption,
-    render_fig8, render_fig8_from_obs, render_fig9, render_fig9_exposure, render_table5,
-    ReproConfig,
+    render_fig2_adoption, render_fig3_behaviors, render_fig4_behaviors, render_fig5_pauses,
+    render_fig6_adoption, render_fig8_from_obs, render_fig8_residual, render_fig9_exposure,
+    render_table5_unchanged, ReproConfig,
 };
 
 const POPULATION: usize = 2_000;
@@ -79,27 +78,27 @@ fn assert_query_matches_legacy(
     let aggregates = PassesPlan.execute(store);
     assert_eq!(
         render_fig2_adoption(config, &aggregates.adoption),
-        render_fig2(config, report),
+        render_fig2_adoption(config, report.adoption()),
         "{context}: fig 2"
     );
     assert_eq!(
         render_fig3_behaviors(config, &aggregates.behaviors),
-        render_fig3(config, report),
+        render_fig3_behaviors(config, report.behaviors()),
         "{context}: fig 3"
     );
     assert_eq!(
         render_fig4_behaviors(&aggregates.behaviors),
-        render_fig4(report),
+        render_fig4_behaviors(report.behaviors()),
         "{context}: fig 4"
     );
     assert_eq!(
         render_fig5_pauses(&aggregates.pauses),
-        render_fig5(report),
+        render_fig5_pauses(report.pauses()),
         "{context}: fig 5"
     );
     assert_eq!(
         render_fig6_adoption(&aggregates.adoption),
-        render_fig6(report),
+        render_fig6_adoption(report.adoption()),
         "{context}: fig 6"
     );
 
@@ -108,7 +107,7 @@ fn assert_query_matches_legacy(
     let folded = ExposureTracker::fold(&report.residual().cloudflare.weekly);
     assert_eq!(
         render_fig9_exposure(config, &folded),
-        render_fig9(config, report),
+        render_fig9_exposure(config, &report.residual().cloudflare.exposure),
         "{context}: fig 9"
     );
 
@@ -117,7 +116,7 @@ fn assert_query_matches_legacy(
     let body = |s: &str| s.split_once('\n').map(|(_, rest)| rest.to_owned()).unwrap();
     assert_eq!(
         body(&render_fig8_from_obs(report.obs())),
-        body(&render_fig8(report)),
+        body(&render_fig8_residual(report.residual())),
         "{context}: fig 8 funnel body"
     );
 
@@ -132,7 +131,7 @@ fn assert_query_matches_legacy(
         candidates.len() as u64,
         live_events,
         "{context}: table 5 events\n{}",
-        render_table5(config, report)
+        render_table5_unchanged(config, report.unchanged())
     );
 }
 

@@ -17,7 +17,6 @@
 //! a million-site, multi-week campaign run memory-bounded: the working set
 //! is one block, not one round.
 
-use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -437,7 +436,8 @@ impl DnsSnapshot {
     /// The encoding is line-based and versioned; equal snapshots *with the
     /// same block layout* produce byte-identical text, which is what the
     /// full-vs-delta and in-memory-vs-spill equivalence tests compare.
-    /// [`DnsSnapshot::decode`] inverts it exactly (round-trip identity).
+    /// It is a diffable rendering only; snapshots are persisted and read
+    /// back through the binary codec ([`DnsSnapshot::encode_binary`]).
     ///
     /// ```text
     /// remnant-snapshot v2
@@ -465,128 +465,6 @@ impl DnsSnapshot {
             }
         }
         out
-    }
-
-    /// Parses a snapshot from its canonical text form.
-    ///
-    /// Accepts both the current v2 format and the legacy v1 format (no
-    /// shard headers; the result gets [`DEFAULT_BLOCK_SIZE`] blocks, so
-    /// only v2 input round-trips byte-identically).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotDecodeError`] naming the offending line and a
-    /// typed [`SnapshotDecodeErrorKind`] if the header, a shard header, a
-    /// field, an address, or a domain name fails to parse; if shard
-    /// headers repeat or arrive out of order; or if declared counts
-    /// disagree with the lines that follow.
-    pub fn decode(text: &str) -> Result<Self, SnapshotDecodeError> {
-        let err = |line: usize, kind: SnapshotDecodeErrorKind| SnapshotDecodeError { line, kind };
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines
-            .next()
-            .ok_or_else(|| err(1, SnapshotDecodeErrorKind::Empty))?;
-        let v2 = match header {
-            "remnant-snapshot v2" => true,
-            "remnant-snapshot v1" => false,
-            _ => return Err(err(1, SnapshotDecodeErrorKind::UnrecognizedHeader)),
-        };
-        let mut field = |name: &'static str| -> Result<u64, SnapshotDecodeError> {
-            let (n, line) = lines
-                .next()
-                .ok_or_else(|| err(0, SnapshotDecodeErrorKind::TruncatedHeader))?;
-            let value = line
-                .strip_prefix(name)
-                .and_then(|rest| rest.strip_prefix('='))
-                .ok_or_else(|| err(n + 1, SnapshotDecodeErrorKind::BadHeaderField(name)))?;
-            value
-                .parse::<u64>()
-                .map_err(|_| err(n + 1, SnapshotDecodeErrorKind::BadHeaderField(name)))
-        };
-        let taken_at = SimTime::from_secs(field("taken_at")?);
-        let day = field("day")? as u32;
-        let sites = field("sites")? as usize;
-        let block_size = if v2 {
-            field("shard_size")? as usize
-        } else {
-            DEFAULT_BLOCK_SIZE
-        };
-
-        let mut builder = DnsSnapshot::builder(taken_at, day, block_size.max(1));
-        let mut decoded = 0usize;
-        if v2 {
-            // Alternating shard headers and their rank lines.
-            let mut next_shard = 0usize;
-            let mut pending: Option<(usize, usize, Vec<SiteRecords>)> = None; // (shard, len, rows)
-            for (n, line) in lines {
-                if let Some(rest) = line.strip_prefix("shard ") {
-                    if let Some((_, _, rows)) = pending.take() {
-                        builder.push_block(Arc::new(RecordBlock::from_sites(rows)));
-                    }
-                    let (idx_str, len_str) = rest
-                        .split_once(" len=")
-                        .ok_or_else(|| err(n + 1, SnapshotDecodeErrorKind::BadShardHeader))?;
-                    let idx: usize = idx_str
-                        .parse()
-                        .map_err(|_| err(n + 1, SnapshotDecodeErrorKind::BadShardHeader))?;
-                    let len: usize = len_str
-                        .parse()
-                        .map_err(|_| err(n + 1, SnapshotDecodeErrorKind::BadShardHeader))?;
-                    if idx < next_shard {
-                        let kind = if idx + 1 == next_shard {
-                            SnapshotDecodeErrorKind::DuplicateShardHeader { shard: idx }
-                        } else {
-                            SnapshotDecodeErrorKind::ShardHeaderOutOfOrder { shard: idx }
-                        };
-                        return Err(err(n + 1, kind));
-                    }
-                    if idx > next_shard {
-                        return Err(err(
-                            n + 1,
-                            SnapshotDecodeErrorKind::ShardHeaderOutOfOrder { shard: idx },
-                        ));
-                    }
-                    next_shard += 1;
-                    pending = Some((idx, len, Vec::with_capacity(len.min(sites))));
-                } else {
-                    let Some((shard, len, rows)) = pending.as_mut() else {
-                        return Err(err(n + 1, SnapshotDecodeErrorKind::RecordOutsideShard));
-                    };
-                    if rows.len() >= *len {
-                        return Err(err(
-                            n + 1,
-                            SnapshotDecodeErrorKind::ShardLengthMismatch { shard: *shard },
-                        ));
-                    }
-                    rows.push(decode_site_line(line, n + 1, decoded)?);
-                    decoded += 1;
-                }
-            }
-            if let Some((shard, len, rows)) = pending.take() {
-                if rows.len() != len {
-                    return Err(err(
-                        0,
-                        SnapshotDecodeErrorKind::ShardLengthMismatch { shard },
-                    ));
-                }
-                builder.push_block(Arc::new(RecordBlock::from_sites(rows)));
-            }
-        } else {
-            for (n, line) in lines {
-                builder.push(decode_site_line(line, n + 1, decoded)?);
-                decoded += 1;
-            }
-        }
-        if decoded != sites {
-            return Err(err(
-                4,
-                SnapshotDecodeErrorKind::SiteCountMismatch {
-                    header: sites,
-                    found: decoded,
-                },
-            ));
-        }
-        Ok(builder.finish())
     }
 }
 
@@ -621,55 +499,6 @@ fn encode_site_line(out: &mut String, rank: usize, site: SiteView<'_>) {
         .collect::<Vec<_>>()
         .join(",");
     out.push_str(&format!("{rank} a={a} cname={cnames} ns={ns}\n"));
-}
-
-fn decode_site_line(
-    line: &str,
-    lineno: usize,
-    expected_rank: usize,
-) -> Result<SiteRecords, SnapshotDecodeError> {
-    let err = |kind: SnapshotDecodeErrorKind| SnapshotDecodeError { line: lineno, kind };
-    let mut parts = line.splitn(4, ' ');
-    let rank = parts
-        .next()
-        .and_then(|r| r.parse::<usize>().ok())
-        .ok_or_else(|| err(SnapshotDecodeErrorKind::BadRank))?;
-    if rank != expected_rank {
-        return Err(err(SnapshotDecodeErrorKind::NonContiguousRank {
-            expected: expected_rank,
-            found: rank,
-        }));
-    }
-    let mut records = SiteRecords::default();
-    for (prefix, part) in [
-        ("a=", parts.next()),
-        ("cname=", parts.next()),
-        ("ns=", parts.next()),
-    ] {
-        let values = part
-            .and_then(|p| p.strip_prefix(prefix))
-            .ok_or_else(|| err(SnapshotDecodeErrorKind::MissingRecordField))?;
-        for value in values.split(',').filter(|v| !v.is_empty()) {
-            match prefix {
-                "a=" => records.a.push(
-                    value
-                        .parse()
-                        .map_err(|_| err(SnapshotDecodeErrorKind::BadIpv4))?,
-                ),
-                "cname=" => records.cnames.push(
-                    value
-                        .parse()
-                        .map_err(|_| err(SnapshotDecodeErrorKind::BadCname))?,
-                ),
-                _ => records.ns.push(
-                    value
-                        .parse()
-                        .map_err(|_| err(SnapshotDecodeErrorKind::BadNs))?,
-                ),
-            }
-        }
-    }
-    Ok(records)
 }
 
 /// Incrementally assembles a [`DnsSnapshot`].
@@ -766,122 +595,6 @@ impl SnapshotBuilder {
     }
 }
 
-/// Why a snapshot failed to parse, with the 1-based offending line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SnapshotDecodeError {
-    /// 1-based line number the error was detected on (0 when the input
-    /// ended before the expected line).
-    pub line: usize,
-    /// What went wrong.
-    pub kind: SnapshotDecodeErrorKind,
-}
-
-/// The typed reasons a snapshot text decode can fail.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum SnapshotDecodeErrorKind {
-    /// The input was empty.
-    Empty,
-    /// The first line was not a known format header.
-    UnrecognizedHeader,
-    /// The input ended inside the header block.
-    TruncatedHeader,
-    /// A `name=value` header field was missing or non-numeric.
-    BadHeaderField(&'static str),
-    /// A `shard <idx> len=<n>` header did not parse.
-    BadShardHeader,
-    /// The same shard index appeared twice.
-    DuplicateShardHeader {
-        /// The repeated shard index.
-        shard: usize,
-    },
-    /// A shard header arrived out of ascending order (or skipped ahead).
-    ShardHeaderOutOfOrder {
-        /// The offending shard index.
-        shard: usize,
-    },
-    /// A record line appeared before any shard header (v2).
-    RecordOutsideShard,
-    /// A shard's record lines disagreed with its declared `len`.
-    ShardLengthMismatch {
-        /// The shard whose length was wrong.
-        shard: usize,
-    },
-    /// A record line did not start with a numeric rank.
-    BadRank,
-    /// Record ranks must be contiguous from 0.
-    NonContiguousRank {
-        /// The rank the decoder expected next.
-        expected: usize,
-        /// The rank the line carried.
-        found: usize,
-    },
-    /// A record line was missing one of its three fields.
-    MissingRecordField,
-    /// An A value was not a valid IPv4 address.
-    BadIpv4,
-    /// A CNAME value was not a valid domain name.
-    BadCname,
-    /// An NS value was not a valid domain name.
-    BadNs,
-    /// The `sites=` header disagreed with the record lines that followed.
-    SiteCountMismatch {
-        /// The count the header declared.
-        header: usize,
-        /// The record lines actually present.
-        found: usize,
-    },
-}
-
-impl fmt::Display for SnapshotDecodeErrorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Empty => write!(f, "empty input"),
-            Self::UnrecognizedHeader => write!(f, "unrecognized header"),
-            Self::TruncatedHeader => write!(f, "truncated header block"),
-            Self::BadHeaderField(name) => write!(f, "bad `{name}=` header field"),
-            Self::BadShardHeader => write!(f, "malformed shard header"),
-            Self::DuplicateShardHeader { shard } => {
-                write!(f, "duplicate shard header for shard {shard}")
-            }
-            Self::ShardHeaderOutOfOrder { shard } => {
-                write!(f, "shard header {shard} out of ascending order")
-            }
-            Self::RecordOutsideShard => write!(f, "record line outside any shard"),
-            Self::ShardLengthMismatch { shard } => {
-                write!(f, "shard {shard} record count disagrees with its len")
-            }
-            Self::BadRank => write!(f, "record line must start with a rank"),
-            Self::NonContiguousRank { expected, found } => write!(
-                f,
-                "record ranks must be contiguous from 0 (expected {expected}, found {found})"
-            ),
-            Self::MissingRecordField => write!(f, "record line is missing a field"),
-            Self::BadIpv4 => write!(f, "invalid IPv4 address"),
-            Self::BadCname => write!(f, "invalid CNAME domain name"),
-            Self::BadNs => write!(f, "invalid NS domain name"),
-            Self::SiteCountMismatch { header, found } => {
-                write!(
-                    f,
-                    "header says {header} sites but {found} record lines follow"
-                )
-            }
-        }
-    }
-}
-
-impl fmt::Display for SnapshotDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "snapshot decode error at line {}: {}",
-            self.line, self.kind
-        )
-    }
-}
-
-impl std::error::Error for SnapshotDecodeError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -957,96 +670,9 @@ mod tests {
         let narrow = snapshot_from(sites, 3);
         assert_eq!(wide, narrow);
         assert_ne!(wide.encode(), narrow.encode(), "layout shows in the text");
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let mut b = DnsSnapshot::builder(SimTime::from_secs(86_400 * 3 + 7), 3, 2);
-        b.push(SiteRecords::default());
-        b.push(SiteRecords {
-            a: vec![Ipv4Addr::new(1, 2, 3, 4), Ipv4Addr::new(5, 6, 7, 8)],
-            cnames: vec!["x7f3.incapdns.net".parse().unwrap()],
-            ns: vec![
-                "kate.ns.cloudflare.com".parse().unwrap(),
-                "rob.ns.cloudflare.com".parse().unwrap(),
-            ],
-        });
-        b.push(SiteRecords {
-            ns: vec!["ns1.webhost1.net".parse().unwrap()],
-            ..SiteRecords::default()
-        });
-        let snap = b.finish();
-        let text = snap.encode();
-        assert!(text.starts_with("remnant-snapshot v2\n"));
-        assert!(text.contains("shard 0 len=2\n"));
-        assert!(text.contains("shard 1 len=1\n"));
-        let back = DnsSnapshot::decode(&text).expect("canonical text parses");
-        assert_eq!(back, snap);
-        // Canonical: re-encoding the decoded value is byte-identical.
-        assert_eq!(back.encode(), text);
-    }
-
-    #[test]
-    fn decode_accepts_legacy_v1() {
-        let v1 = "remnant-snapshot v1\ntaken_at=42\nday=2\nsites=2\n\
-                  0 a=1.2.3.4 cname= ns=\n1 a= cname= ns=ns1.webhost1.net\n";
-        let snap = DnsSnapshot::decode(v1).expect("v1 parses");
-        assert_eq!(snap.day, 2);
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap.site(0).unwrap().a, vec![Ipv4Addr::new(1, 2, 3, 4)]);
-        assert_eq!(snap.block_size(), DEFAULT_BLOCK_SIZE);
-    }
-
-    #[test]
-    fn decode_rejects_malformed_input() {
-        assert!(DnsSnapshot::decode("").is_err());
-        assert!(DnsSnapshot::decode("something else\n").is_err());
-        let missing_line = "remnant-snapshot v1\ntaken_at=0\nday=0\nsites=1\n";
-        assert!(DnsSnapshot::decode(missing_line).is_err());
-        let bad_ip = "remnant-snapshot v1\ntaken_at=0\nday=0\nsites=1\n0 a=999.1.2.3 cname= ns=\n";
-        let err = DnsSnapshot::decode(bad_ip).unwrap_err();
-        assert_eq!(err.line, 5);
-        assert_eq!(err.kind, SnapshotDecodeErrorKind::BadIpv4);
-        assert!(err.to_string().contains("IPv4"));
-        let bad_rank = "remnant-snapshot v1\ntaken_at=0\nday=0\nsites=1\n7 a= cname= ns=\n";
-        assert!(DnsSnapshot::decode(bad_rank).is_err());
-    }
-
-    #[test]
-    fn decode_rejects_duplicate_shard_headers() {
-        // Regression: a repeated shard header must be a typed error, not a
-        // silent last-write-wins overwrite.
-        let dup = "remnant-snapshot v2\ntaken_at=0\nday=0\nsites=2\nshard_size=1\n\
-                   shard 0 len=1\n0 a=1.2.3.4 cname= ns=\n\
-                   shard 0 len=1\n1 a=5.6.7.8 cname= ns=\n";
-        let err = DnsSnapshot::decode(dup).unwrap_err();
-        assert_eq!(err.line, 8);
-        assert_eq!(
-            err.kind,
-            SnapshotDecodeErrorKind::DuplicateShardHeader { shard: 0 }
-        );
-        assert!(err.to_string().contains("duplicate shard header"));
-    }
-
-    #[test]
-    fn decode_rejects_out_of_order_and_oversized_shards() {
-        let skipped = "remnant-snapshot v2\ntaken_at=0\nday=0\nsites=1\nshard_size=1\n\
-                       shard 1 len=1\n0 a= cname= ns=\n";
-        assert!(matches!(
-            DnsSnapshot::decode(skipped).unwrap_err().kind,
-            SnapshotDecodeErrorKind::ShardHeaderOutOfOrder { shard: 1 }
-        ));
-        let overflow = "remnant-snapshot v2\ntaken_at=0\nday=0\nsites=2\nshard_size=1\n\
-                        shard 0 len=1\n0 a= cname= ns=\n1 a= cname= ns=\n";
-        assert!(matches!(
-            DnsSnapshot::decode(overflow).unwrap_err().kind,
-            SnapshotDecodeErrorKind::ShardLengthMismatch { shard: 0 }
-        ));
-        let headless = "remnant-snapshot v2\ntaken_at=0\nday=0\nsites=1\nshard_size=1\n\
-                        0 a= cname= ns=\n";
-        assert!(matches!(
-            DnsSnapshot::decode(headless).unwrap_err().kind,
-            SnapshotDecodeErrorKind::RecordOutsideShard
-        ));
+        assert!(wide.encode().contains("shard_size=512\nshard 0 len=10\n"));
+        assert!(narrow
+            .encode()
+            .ends_with("shard 3 len=1\n9 a=10.0.0.9 cname= ns=\n"));
     }
 }
