@@ -62,7 +62,6 @@ fn bench_pipeline(c: &mut Criterion) {
         workers: 1,
         shard_size: 64,
         seed: 3,
-        ..EngineConfig::default()
     });
     group.bench_function("full_sweep_2k_sites", |b| {
         let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);

@@ -87,7 +87,7 @@ fn assert_equivalent(workers: usize) {
     assert_eq!(full.engine().sweeps, delta.engine().sweeps);
     assert_eq!(full.engine().shards, delta.engine().shards);
     assert_eq!(full.engine().queries, delta.engine().queries);
-    assert_eq!(full.engine().attempts, delta.engine().attempts);
+    assert_eq!(full.engine().items, delta.engine().items);
     assert_eq!(full.engine().cache_hits, delta.engine().cache_hits);
     assert_eq!(full.engine().cache_misses, delta.engine().cache_misses);
 

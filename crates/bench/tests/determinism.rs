@@ -76,9 +76,7 @@ fn study_is_worker_count_invariant() {
     assert_eq!(report1.engine().sweeps, report8.engine().sweeps);
     assert_eq!(report1.engine().shards, report8.engine().shards);
     assert_eq!(report1.engine().queries, report8.engine().queries);
-    assert_eq!(report1.engine().attempts, report8.engine().attempts);
-    assert_eq!(report1.engine().retries, report8.engine().retries);
-    assert_eq!(report1.engine().exhausted, report8.engine().exhausted);
+    assert_eq!(report1.engine().items, report8.engine().items);
     assert_eq!(report1.engine().workers, 1);
     assert_eq!(report8.engine().workers, 8);
 

@@ -108,7 +108,7 @@ fn assert_equivalent(mode: CollectionMode, workers: usize, tag: &str) {
     assert_eq!(mem.engine().sweeps, spilled.engine().sweeps);
     assert_eq!(mem.engine().shards, spilled.engine().shards);
     assert_eq!(mem.engine().queries, spilled.engine().queries);
-    assert_eq!(mem.engine().attempts, spilled.engine().attempts);
+    assert_eq!(mem.engine().items, spilled.engine().items);
     assert_eq!(mem.engine().cache_hits, spilled.engine().cache_hits);
     assert_eq!(mem.engine().cache_misses, spilled.engine().cache_misses);
 }

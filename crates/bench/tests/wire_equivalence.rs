@@ -16,7 +16,6 @@ fn snapshot_with<T: ShardableTransport>(world: &World, transport: &T, workers: u
         workers,
         shard_size: 128,
         seed: 7,
-        ..EngineConfig::default()
     });
     let targets: Vec<(DomainName, DomainName)> = world
         .sites()

@@ -42,7 +42,7 @@ use remnant_dns::{
     CountingTransport, DnsTransport, DomainName, Instrumented, RecordType, RecursiveResolver,
     ShardableTransport, ZoneGenerationProbe,
 };
-use remnant_engine::{ScanEngine, ShardScope, ShardStats, ShardTiming, SweepStats, TaskResult};
+use remnant_engine::{ScanEngine, ShardScope, ShardStats, ShardTiming, SweepStats};
 use remnant_net::Region;
 use remnant_sim::{SeedSeq, SimClock};
 
@@ -155,14 +155,14 @@ fn site_task<T: ShardableTransport + ?Sized>(
     scope: &mut ShardScope,
     _rank: usize,
     (apex, www): &Target,
-) -> TaskResult<SiteRecords> {
+) -> SiteRecords {
     let mut counting = CountingTransport::new(transport);
     let (hits_before, misses_before) = resolver.cache().stats();
     let records = resolve_site(resolver, &mut counting, apex, www);
     let (hits_after, misses_after) = resolver.cache().stats();
     scope.add_queries(counting.query_stats().sent);
     scope.add_cache_stats(hits_after - hits_before, misses_after - misses_before);
-    TaskResult::Done(records)
+    records
 }
 
 /// The freshly resolved part of one round, in selected-shard order.
@@ -243,7 +243,7 @@ impl<'a, T: ShardableTransport> Round<'a, T> {
         };
         let mut fresh = FreshShards::default();
         for batch in selected.chunks(batch) {
-            let sweep = self.engine.sweep_selected_with_finish(
+            let sweep = self.engine.sweep_selected(
                 self.transport,
                 self.targets,
                 batch,
@@ -435,8 +435,9 @@ struct ShardSelection {
 /// provider edits through `World::provider_mut`). To bound the staleness
 /// such edits could cause, every round additionally re-resolves one
 /// deterministic, seed-derived stratum of shards: shard `s` is refreshed
-/// in round `r` iff `s ≡ base + r (mod strata)`, so every shard is
-/// force-refreshed at least once every `strata` rounds.
+/// in round `r` iff `s ≡ base + r (mod strata)`, with `strata` =
+/// [`DEFAULT_REFRESH_STRATA`], so every shard is force-refreshed at least
+/// once every `strata` rounds.
 ///
 /// # Full mode
 ///
@@ -451,31 +452,22 @@ pub struct DeltaCollector {
     mode: CollectionMode,
     /// Seed-derived base offset of the rotating refresh stratum.
     stratum_base: u64,
-    strata: u64,
     rounds: u32,
     cache: Option<DeltaCache>,
 }
 
 impl DeltaCollector {
-    /// Creates a delta collector resolving from `region`, with the default
-    /// refresh stratum count ([`DEFAULT_REFRESH_STRATA`]).
+    /// Creates a delta collector resolving from `region`, refreshing one of
+    /// [`DEFAULT_REFRESH_STRATA`] strata of shards per round.
     ///
     /// `seed` feeds the stratum schedule; collectors with the same seed
     /// refresh the same shards in the same rounds.
     pub fn new(clock: SimClock, region: Region, seed: u64) -> Self {
-        Self::with_strata(clock, region, seed, DEFAULT_REFRESH_STRATA)
-    }
-
-    /// [`DeltaCollector::new`] with an explicit stratum count (≥ 1). A
-    /// count of 1 refreshes every shard every round — full collection.
-    pub fn with_strata(clock: SimClock, region: Region, seed: u64, strata: u64) -> Self {
-        assert!(strata >= 1, "at least one refresh stratum is required");
         DeltaCollector {
             clock,
             region,
             mode: CollectionMode::Delta,
             stratum_base: SeedSeq::new(seed).child("delta").derive("stratum-base"),
-            strata,
             rounds: 0,
             cache: None,
         }
@@ -536,14 +528,14 @@ impl DeltaCollector {
         let Some(cache) = valid else {
             return sel;
         };
-        let stratum_offset = (self.stratum_base + round_index) % self.strata;
+        let stratum_offset = (self.stratum_base + round_index) % DEFAULT_REFRESH_STRATA;
         sel.selected.clear();
         sel.round = DeltaRound::default();
         for (idx, range) in plan.iter().enumerate() {
             let dirty = range
                 .clone()
                 .any(|rank| sel.generations[rank] != cache.generations[rank]);
-            let stratum = (idx as u64) % self.strata == stratum_offset;
+            let stratum = (idx as u64) % DEFAULT_REFRESH_STRATA == stratum_offset;
             if dirty || stratum {
                 sel.selected.push(idx);
                 sel.round.reresolved += range.len() as u64;
@@ -735,7 +727,6 @@ mod tests {
                 workers,
                 shard_size: 32,
                 seed: 1,
-                ..EngineConfig::default()
             })
         };
         let (snap1, stats1) = collector.collect_with(&engine(1), &world, &targets, 0);
@@ -777,7 +768,6 @@ mod tests {
                 workers,
                 shard_size: 32,
                 seed: 1,
-                ..EngineConfig::default()
             })
         };
         let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
@@ -813,7 +803,6 @@ mod tests {
                 workers: 2,
                 shard_size: 16,
                 seed: 5,
-                ..EngineConfig::default()
             })
         };
         let mut mem_world = tiny_world();
@@ -851,7 +840,6 @@ mod tests {
                 workers: 2,
                 shard_size: 16,
                 seed: 5,
-                ..EngineConfig::default()
             })
         };
         let mut full_world = tiny_world();
@@ -906,7 +894,6 @@ mod tests {
             workers: 1,
             shard_size: 16,
             seed: 5,
-            ..EngineConfig::default()
         });
         let mut delta = DeltaCollector::new(world.clock(), Region::Ashburn, 5);
         let (_, _, round) = delta.collect_with(&engine, &world, &targets, 0);

@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 use remnant_dns::{
     CountingTransport, DnsTransport, DomainName, RecordType, RecursiveResolver, ShardableTransport,
 };
-use remnant_engine::{ScanEngine, SweepStats, TaskResult};
+use remnant_engine::{ScanEngine, SweepStats};
 use remnant_net::Region;
 use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_sim::SimClock;
@@ -107,7 +107,7 @@ impl IncapsulaScanner {
             .map(|(rank, token)| (*rank, token.clone()))
             .collect();
         let clock = self.clock.clone();
-        let sweep = engine.sweep_with_finish(
+        let sweep = engine.sweep(
             transport,
             &tokens,
             |_shard| RecursiveResolver::new(clock.clone(), Region::Ashburn),
@@ -121,7 +121,7 @@ impl IncapsulaScanner {
                 let (hits_after, misses_after) = resolver.cache().stats();
                 scope.add_queries(counting.query_stats().sent);
                 scope.add_cache_stats(hits_after - hits_before, misses_after - misses_before);
-                TaskResult::Done((*rank, addrs))
+                (*rank, addrs)
             },
             |resolver, scope| resolver.export_into(scope.metrics()),
         );
@@ -268,7 +268,6 @@ mod tests {
                 workers,
                 shard_size: 8,
                 seed: 3,
-                ..EngineConfig::default()
             })
         };
         let (r1, s1) = scanner.scan_with(&engine(1), &w);

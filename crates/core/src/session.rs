@@ -30,7 +30,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use remnant_engine::{EngineConfig, RateLimit, ScanEngine, SweepStats, WorkerPool};
+use remnant_engine::{EngineConfig, ScanEngine, SweepStats, WorkerPool};
 use remnant_obs::{Obs, ObsReport, ProgressSender, Span};
 use remnant_provider::ProviderId;
 use remnant_world::World;
@@ -128,18 +128,8 @@ impl StudySession {
     }
 
     fn engine_config(config: &StudyConfig) -> EngineConfig {
-        let mut engine = EngineConfig::with_workers(config.workers.max(1), config.seed)
-            .expect("clamped worker count is always valid");
-        // Wall-clock pacing only: the token bucket never touches outputs,
-        // so a rate-limited session still reports bit-identically. The
-        // burst is capped at ~100ms of rate: the engine starts each
-        // sweep's bucket full, and a full second of burst would let a
-        // small daily round finish without ever being paced.
-        engine.rate = config.rate_per_second.map(|rate| RateLimit {
-            per_second: f64::from(rate),
-            burst: rate.div_ceil(10).max(1),
-        });
-        engine
+        EngineConfig::with_workers(config.workers.max(1), config.seed)
+            .expect("clamped worker count is always valid")
     }
 
     fn with_engine(config: StudyConfig, world: &World, engine: ScanEngine) -> Self {

@@ -79,13 +79,6 @@ pub struct StudyConfig {
     /// once. The report is bit-identical with or without spill; only the
     /// peak RSS changes.
     pub spill: Option<SpillConfig>,
-    /// Courtesy rate limit: sustained resolution attempts per second
-    /// across this study's sweep workers (a real measurement campaign
-    /// paces its queries; the paper's scanners did). Runs on wall-clock
-    /// time inside the engine's token bucket, so it changes pacing only —
-    /// the report stays bit-identical with or without it. `None` (the
-    /// default) runs unthrottled.
-    pub rate_per_second: Option<u32>,
 }
 
 impl Default for StudyConfig {
@@ -98,7 +91,6 @@ impl Default for StudyConfig {
             workers: 1,
             collection_mode: CollectionMode::Full,
             spill: None,
-            rate_per_second: None,
         }
     }
 }
@@ -178,14 +170,6 @@ impl StudyConfigBuilder {
         self
     }
 
-    /// Courtesy rate limit: sustained resolution attempts per second
-    /// across this study's sweep workers (wall-clock pacing only; the
-    /// report is bit-identical with or without it).
-    pub fn rate_per_second(mut self, rate: u32) -> Self {
-        self.config.rate_per_second = Some(rate);
-        self
-    }
-
     /// Validates and returns the configuration, naming the first rejected
     /// field on failure.
     pub fn build(self) -> Result<StudyConfig, ConfigFieldError> {
@@ -226,13 +210,6 @@ impl StudyConfigBuilder {
                     "at least one shard must stay resident while spilling",
                 ));
             }
-        }
-        if config.rate_per_second == Some(0) {
-            return Err(ConfigFieldError::new(
-                "rate_per_second",
-                0,
-                "a zero-rate study would never issue a query",
-            ));
         }
         Ok(config)
     }
@@ -347,12 +324,8 @@ pub struct EngineReport {
     pub shards: u64,
     /// DNS queries sent by sweep tasks.
     pub queries: u64,
-    /// Task attempts, including retries.
-    pub attempts: u64,
-    /// Attempts re-run under the engine's retry policy.
-    pub retries: u64,
-    /// Items that exhausted their retry budget (timeouts).
-    pub exhausted: u64,
+    /// Items processed by sweep tasks, one task run each.
+    pub items: u64,
     /// Resolver-cache hits reported by sweep tasks (deterministic; kept
     /// out of rendered output, like the other engine counters).
     pub cache_hits: u64,
@@ -370,9 +343,7 @@ impl EngineReport {
         self.sweeps += 1;
         self.shards += stats.shards.len() as u64;
         self.queries += stats.queries();
-        self.attempts += stats.attempts();
-        self.retries += stats.retries();
-        self.exhausted += stats.exhausted();
+        self.items += stats.items();
         self.cache_hits += stats.cache_hits();
         self.cache_misses += stats.cache_misses();
         self.wall += stats.wall;
@@ -392,9 +363,10 @@ impl Instrumented for EngineReport {
             (MetricKey::named("sweep.count"), self.sweeps),
             (MetricKey::named("sweep.shards"), self.shards),
             (MetricKey::named(TRANSPORT_SENT), self.queries),
-            (MetricKey::named("sweep.attempts"), self.attempts),
-            (MetricKey::named("sweep.retries"), self.retries),
-            (MetricKey::named("sweep.exhausted"), self.exhausted),
+            // Tasks never retry; the zeros keep the `--metrics` schema byte-identical.
+            (MetricKey::named("sweep.attempts"), self.items),
+            (MetricKey::named("sweep.retries"), 0),
+            (MetricKey::named("sweep.exhausted"), 0),
             (MetricKey::named("cache.hits"), self.cache_hits),
             (MetricKey::named("cache.misses"), self.cache_misses),
         ]

@@ -1,63 +1,10 @@
-//! Engine tuning knobs.
+//! Engine configuration: worker count, shard size and RNG seed.
+//!
+//! The shard layout is a function of the item count and `shard_size`
+//! only, so a collection round's snapshot block size and its engine's
+//! shard length are the same number by construction.
 
 use crate::error::ConfigFieldError;
-
-/// Retry policy applied per item inside a shard.
-///
-/// A task signals a retryable outcome by returning
-/// [`TaskResult::Retry`](crate::TaskResult::Retry) with a fallback output.
-/// The engine re-runs the task until it returns
-/// [`TaskResult::Done`](crate::TaskResult::Done) or `max_attempts` is
-/// reached, at which point the *last* fallback is kept and the item is
-/// counted as exhausted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum number of attempts per item, including the first (`>= 1`).
-    pub max_attempts: u32,
-}
-
-impl RetryPolicy {
-    /// A policy that never retries.
-    pub const fn once() -> Self {
-        RetryPolicy { max_attempts: 1 }
-    }
-
-    /// A policy allowing up to `max_attempts` attempts per item.
-    pub const fn attempts(max_attempts: u32) -> Self {
-        RetryPolicy { max_attempts }
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        // Matches the paper's collector: a failed lookup is re-issued a
-        // couple of times before the site is recorded as unresolvable.
-        RetryPolicy { max_attempts: 3 }
-    }
-}
-
-/// Token-bucket rate limit shared by every worker of a sweep.
-///
-/// The limit applies to task *attempts* (one attempt ≈ one resolution),
-/// in real wall-clock time. It exists for operators pointing the scanner
-/// at infrastructure with query budgets; simulation runs leave it off.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RateLimit {
-    /// Sustained attempts per second across all workers.
-    pub per_second: f64,
-    /// Bucket capacity: how many attempts may burst back-to-back.
-    pub burst: u32,
-}
-
-impl RateLimit {
-    /// A sustained rate of `per_second` with a same-sized burst.
-    pub fn per_second(per_second: f64) -> Self {
-        RateLimit {
-            per_second,
-            burst: per_second.max(1.0).ceil() as u32,
-        }
-    }
-}
 
 /// Configuration for a [`ScanEngine`](crate::ScanEngine).
 #[derive(Clone, Debug, PartialEq)]
@@ -65,28 +12,10 @@ pub struct EngineConfig {
     /// Number of worker threads. Any value `>= 1`; the engine never spawns
     /// more workers than shards. Output is identical for every value.
     pub workers: usize,
-    /// Items per *planning unit*. Together with
-    /// [`shards_per_worker`](EngineConfig::shards_per_worker) this fixes
-    /// the shard layout; the layout is a function of the item count and
-    /// these two constants only — never of `workers` — which is what makes
-    /// the merged output independent of parallelism.
+    /// Items per shard. The layout is a function of the item count and
+    /// this constant only — never of `workers` — which is what makes the
+    /// merged output independent of parallelism.
     pub shard_size: usize,
-    /// Claim granularity: how many claimable shards each `shard_size`
-    /// planning unit is split into. `1` (the default) reproduces the
-    /// classic layout (one shard per unit); higher values cut the same
-    /// units into finer shards so the work-claiming queue can route around
-    /// a straggling shard instead of stalling everything scheduled behind
-    /// it.
-    ///
-    /// Deliberately **not** tied to the runtime worker count: the
-    /// effective shard size is `ceil(shard_size / shards_per_worker)`, a
-    /// pure layout constant, so two runs that differ only in `workers`
-    /// still plan identical shards and produce byte-identical output.
-    pub shards_per_worker: usize,
-    /// Per-item retry policy.
-    pub retry: RetryPolicy,
-    /// Optional global rate limit (off by default; simulations don't wait).
-    pub rate: Option<RateLimit>,
     /// Root seed for the per-shard RNG streams.
     pub seed: u64,
 }
@@ -107,23 +36,13 @@ impl EngineConfig {
     /// `workers == 0` is a configuration mistake the caller should see,
     /// not a value to silently clamp.
     pub fn with_workers(workers: usize, seed: u64) -> Result<Self, ConfigFieldError> {
-        EngineConfig::builder().workers(workers).seed(seed).build()
-    }
-
-    /// A builder starting from the defaults, with validated setters —
-    /// see [`EngineConfigBuilder`].
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder {
-            config: EngineConfig::default(),
-        }
-    }
-
-    /// Items per claimable shard:
-    /// `ceil(shard_size / shards_per_worker)`, at least 1. This — not
-    /// `shard_size` alone — is what [`crate::plan_shards`] receives.
-    pub fn effective_shard_size(&self) -> usize {
-        let per = self.shards_per_worker.max(1);
-        self.shard_size.max(1).div_ceil(per)
+        let config = EngineConfig {
+            workers,
+            seed,
+            ..EngineConfig::default()
+        };
+        config.validate()?;
+        Ok(config)
     }
 
     /// Validates the configuration, naming the first rejected field.
@@ -149,20 +68,6 @@ impl EngineConfig {
                 "shards must hold at least one item",
             ));
         }
-        if self.shards_per_worker == 0 {
-            return Err(ConfigFieldError::new(
-                "shards_per_worker",
-                self.shards_per_worker,
-                "each planning unit must yield at least one claimable shard",
-            ));
-        }
-        if self.retry.max_attempts == 0 {
-            return Err(ConfigFieldError::new(
-                "retry.max_attempts",
-                self.retry.max_attempts,
-                "every item needs at least one attempt",
-            ));
-        }
         Ok(())
     }
 }
@@ -172,77 +77,8 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 1,
             shard_size: Self::DEFAULT_SHARD_SIZE,
-            shards_per_worker: 1,
-            retry: RetryPolicy::default(),
-            rate: None,
             seed: 0,
         }
-    }
-}
-
-/// Builder for [`EngineConfig`] — the validated construction path.
-///
-/// The struct-literal path stays open for tests and internal callers;
-/// the builder names the offending field, value, and reason when a
-/// combination is rejected:
-///
-/// ```
-/// use remnant_engine::EngineConfig;
-///
-/// let config = EngineConfig::builder().workers(8).seed(42).build()?;
-/// assert_eq!(config.workers, 8);
-/// let err = EngineConfig::builder().workers(0).build().unwrap_err();
-/// assert_eq!(err.field, "workers");
-/// # Ok::<(), remnant_engine::ConfigFieldError>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct EngineConfigBuilder {
-    config: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// Number of worker threads.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Items per planning unit.
-    pub fn shard_size(mut self, shard_size: usize) -> Self {
-        self.config.shard_size = shard_size;
-        self
-    }
-
-    /// Claimable shards per planning unit (see
-    /// [`EngineConfig::shards_per_worker`]).
-    pub fn shards_per_worker(mut self, shards: usize) -> Self {
-        self.config.shards_per_worker = shards;
-        self
-    }
-
-    /// Per-item retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// Global rate limit.
-    pub fn rate(mut self, rate: RateLimit) -> Self {
-        self.config.rate = Some(rate);
-        self
-    }
-
-    /// Root seed for the per-shard RNG streams.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Validates and returns the configuration, naming the first rejected
-    /// field on failure.
-    pub fn build(self) -> Result<EngineConfig, ConfigFieldError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -261,65 +97,38 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_every_field() {
-        let config = EngineConfig::builder()
-            .workers(4)
-            .shard_size(128)
-            .shards_per_worker(4)
-            .retry(RetryPolicy::attempts(2))
-            .seed(9)
-            .build()
-            .unwrap();
-        assert_eq!(config.workers, 4);
-        assert_eq!(config.effective_shard_size(), 32);
+    fn validate_names_every_rejected_field() {
+        let config = EngineConfig {
+            workers: 4,
+            shard_size: 128,
+            seed: 9,
+        };
+        assert_eq!(config.validate(), Ok(()));
 
-        for (build, field) in [
-            (EngineConfig::builder().workers(0).build(), "workers"),
-            (EngineConfig::builder().workers(2048).build(), "workers"),
-            (EngineConfig::builder().shard_size(0).build(), "shard_size"),
+        for (config, field) in [
             (
-                EngineConfig::builder().shards_per_worker(0).build(),
-                "shards_per_worker",
+                EngineConfig {
+                    workers: 0,
+                    ..EngineConfig::default()
+                },
+                "workers",
             ),
             (
-                EngineConfig::builder()
-                    .retry(RetryPolicy::attempts(0))
-                    .build(),
-                "retry.max_attempts",
+                EngineConfig {
+                    workers: 2048,
+                    ..EngineConfig::default()
+                },
+                "workers",
+            ),
+            (
+                EngineConfig {
+                    shard_size: 0,
+                    ..EngineConfig::default()
+                },
+                "shard_size",
             ),
         ] {
-            assert_eq!(build.unwrap_err().field, field);
+            assert_eq!(config.validate().unwrap_err().field, field);
         }
-    }
-
-    #[test]
-    fn effective_shard_size_refines_without_reading_workers() {
-        let base = EngineConfig::default();
-        assert_eq!(
-            base.effective_shard_size(),
-            EngineConfig::DEFAULT_SHARD_SIZE,
-            "default granularity reproduces the classic layout"
-        );
-        let fine = EngineConfig {
-            shard_size: 100,
-            shards_per_worker: 3,
-            ..EngineConfig::default()
-        };
-        assert_eq!(fine.effective_shard_size(), 34);
-        // Same layout constants, different worker counts: same plan.
-        let more_workers = EngineConfig {
-            workers: 64,
-            ..fine.clone()
-        };
-        assert_eq!(
-            fine.effective_shard_size(),
-            more_workers.effective_shard_size()
-        );
-    }
-
-    #[test]
-    fn rate_limit_burst_tracks_rate() {
-        assert_eq!(RateLimit::per_second(100.0).burst, 100);
-        assert_eq!(RateLimit::per_second(0.5).burst, 1);
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! ## Determinism contract
 //!
-//! For a fixed target list, seed, shard size and retry policy, the
+//! For a fixed target list, seed and shard size, the
 //! [`Sweep::outputs`] vector and every [`ShardStats`] counter are
 //! identical for every `workers` value. Only wall-clock timings
 //! ([`SweepStats::timings`], [`SweepStats::wall`]) vary. This holds
@@ -26,7 +26,7 @@
 //! ## Example
 //!
 //! ```
-//! use remnant_engine::{EngineConfig, ScanEngine, TaskResult};
+//! use remnant_engine::{EngineConfig, ScanEngine};
 //!
 //! let items: Vec<u32> = (0..10_000).collect();
 //! let engine = ScanEngine::new(EngineConfig::with_workers(8, 42)?);
@@ -34,7 +34,8 @@
 //!     &(),
 //!     &items,
 //!     |_shard| (),
-//!     |_ctx, _worker, _scope, _rank, item| TaskResult::Done(item * 2),
+//!     |_ctx, _worker, _scope, _rank, item| item * 2,
+//!     |_worker, _scope| {},
 //! );
 //! assert_eq!(sweep.outputs[7], 14);
 //! assert_eq!(sweep.stats.items(), 10_000);
@@ -54,18 +55,16 @@
 pub mod claim;
 pub mod config;
 pub mod error;
-pub mod limiter;
 pub mod pool;
 pub mod shard;
 pub mod stats;
 pub mod sweep;
 
 pub use claim::{ShardClaim, ShardQueue, SlotVec};
-pub use config::{EngineConfig, EngineConfigBuilder, RateLimit, RetryPolicy};
+pub use config::EngineConfig;
 pub use error::ConfigFieldError;
-pub use limiter::TokenBucket;
 pub use pool::{PoolGrant, WorkerPool};
 pub use remnant_obs::{Instrumented, MetricsRegistry};
 pub use shard::plan_shards;
 pub use stats::{ShardStats, ShardTiming, SweepStats};
-pub use sweep::{ScanEngine, ShardScope, Sweep, TaskResult};
+pub use sweep::{ScanEngine, ShardScope, Sweep};

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use remnant_obs::{Instrumented, MetricKey, MetricsRegistry, TRANSPORT_SENT};
+use remnant_obs::MetricsRegistry;
 
 /// Counters for one shard of a sweep.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -16,12 +16,6 @@ pub struct ShardStats {
     pub shard: usize,
     /// Items processed (the shard's length).
     pub items: u64,
-    /// Task attempts, including retries.
-    pub attempts: u64,
-    /// Attempts that asked to be retried and were re-run.
-    pub retries: u64,
-    /// Items whose retry budget ran out; their fallback output was kept.
-    pub exhausted: u64,
     /// DNS queries reported by the task via
     /// [`ShardScope::add_queries`](crate::ShardScope::add_queries).
     pub queries: u64,
@@ -65,21 +59,6 @@ impl SweepStats {
         self.shards.iter().map(|s| s.items).sum()
     }
 
-    /// Total task attempts, including retries.
-    pub fn attempts(&self) -> u64 {
-        self.shards.iter().map(|s| s.attempts).sum()
-    }
-
-    /// Total retried attempts.
-    pub fn retries(&self) -> u64 {
-        self.shards.iter().map(|s| s.retries).sum()
-    }
-
-    /// Total items that exhausted their retry budget.
-    pub fn exhausted(&self) -> u64 {
-        self.shards.iter().map(|s| s.exhausted).sum()
-    }
-
     /// Total DNS queries reported by tasks.
     pub fn queries(&self) -> u64 {
         self.shards.iter().map(|s| s.queries).sum()
@@ -118,30 +97,10 @@ impl SweepStats {
     }
 }
 
-impl Instrumented for SweepStats {
-    fn component(&self) -> &'static str {
-        "engine.sweep"
-    }
-
-    /// The sweep's deterministic counters under the unified naming:
-    /// task-reported DNS queries surface as `transport.sent`, resolver
-    /// cache traffic as `cache.hits`/`cache.misses`.
-    fn counters(&self) -> Vec<(MetricKey, u64)> {
-        vec![
-            (MetricKey::named("sweep.items"), self.items()),
-            (MetricKey::named("sweep.attempts"), self.attempts()),
-            (MetricKey::named("sweep.retries"), self.retries()),
-            (MetricKey::named("sweep.exhausted"), self.exhausted()),
-            (MetricKey::named(TRANSPORT_SENT), self.queries()),
-            (MetricKey::named("cache.hits"), self.cache_hits()),
-            (MetricKey::named("cache.misses"), self.cache_misses()),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remnant_obs::TRANSPORT_SENT;
 
     #[test]
     fn totals_sum_over_shards() {
@@ -151,9 +110,6 @@ mod tests {
                 ShardStats {
                     shard: 0,
                     items: 10,
-                    attempts: 12,
-                    retries: 2,
-                    exhausted: 1,
                     queries: 40,
                     cache_hits: 30,
                     cache_misses: 10,
@@ -162,9 +118,6 @@ mod tests {
                 ShardStats {
                     shard: 1,
                     items: 5,
-                    attempts: 5,
-                    retries: 0,
-                    exhausted: 0,
                     queries: 15,
                     cache_hits: 12,
                     cache_misses: 3,
@@ -184,9 +137,6 @@ mod tests {
             wall: Duration::from_millis(9),
         };
         assert_eq!(stats.items(), 15);
-        assert_eq!(stats.attempts(), 17);
-        assert_eq!(stats.retries(), 2);
-        assert_eq!(stats.exhausted(), 1);
         assert_eq!(stats.queries(), 55);
         assert_eq!(stats.cache_hits(), 42);
         assert_eq!(stats.cache_misses(), 13);
@@ -218,29 +168,5 @@ mod tests {
             ..SweepStats::default()
         };
         assert_eq!(stats.merged_metrics().counter(TRANSPORT_SENT), 7);
-    }
-
-    #[test]
-    fn sweep_stats_export_unified_counters() {
-        let stats = SweepStats {
-            workers: 1,
-            shards: vec![ShardStats {
-                items: 4,
-                attempts: 5,
-                retries: 1,
-                queries: 9,
-                cache_hits: 6,
-                cache_misses: 3,
-                ..ShardStats::default()
-            }],
-            ..SweepStats::default()
-        };
-        let mut registry = MetricsRegistry::new();
-        stats.export_into(&mut registry);
-        let by = |name| registry.counter_labeled(name, &[("component", "engine.sweep")]);
-        assert_eq!(by("sweep.items"), 4);
-        assert_eq!(by(TRANSPORT_SENT), 9);
-        assert_eq!(by("cache.hits"), 6);
-        assert_eq!(by("cache.misses"), 3);
     }
 }

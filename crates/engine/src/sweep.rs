@@ -10,22 +10,9 @@ use remnant_sim::SeedSeq;
 
 use crate::claim::{ShardQueue, SlotVec};
 use crate::config::EngineConfig;
-use crate::limiter::TokenBucket;
 use crate::pool::WorkerPool;
 use crate::shard::plan_shards;
 use crate::stats::{ShardStats, ShardTiming, SweepStats};
-
-/// Outcome of one task attempt.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TaskResult<O> {
-    /// The item is done; record this output.
-    Done(O),
-    /// The attempt should be retried. The carried output is the fallback
-    /// recorded if the retry budget runs out — for a scanner, "site did
-    /// not resolve" is itself a measurement, so even an exhausted item
-    /// produces a row.
-    Retry(O),
-}
 
 /// Per-shard context handed to every task invocation.
 ///
@@ -66,7 +53,7 @@ impl ShardScope {
     }
 
     /// The shard's metrics sink. Whatever a task (or the per-shard finish
-    /// hook of [`ScanEngine::sweep_with_finish`]) records here lands in
+    /// hook of [`ScanEngine::sweep`]) records here lands in
     /// the shard's [`ShardStats::metrics`] and merges deterministically
     /// into the sweep's aggregate — shard identity, never thread
     /// identity, decides where a metric is accumulated.
@@ -93,10 +80,8 @@ pub struct Sweep<O> {
 /// invariants make the merged result bit-identical for every worker count
 /// and every claim order:
 ///
-/// 1. **Shard layout** depends only on the item count,
-///    [`shard_size`](EngineConfig::shard_size) and
-///    [`shards_per_worker`](EngineConfig::shards_per_worker), never on
-///    `workers`.
+/// 1. **Shard layout** depends only on the item count and
+///    [`shard_size`](EngineConfig::shard_size), never on `workers`.
 /// 2. **Per-shard state is fresh**: each shard gets its own worker value
 ///    (`make_worker(shard)`) and its own RNG stream
 ///    (`seed → child("engine") → derive_indexed("shard", shard)`), so no
@@ -155,36 +140,17 @@ impl ScanEngine {
     ///   with the shard index.
     /// * `task` — processes one item; receives the context, the shard's
     ///   worker, the shard scope (RNG + counters), the item's global rank
-    ///   and the item itself.
+    ///   and the item itself, and returns the item's output.
+    /// * `finish` — runs once per shard after its last item, consuming the
+    ///   shard's worker with the shard scope still writable. This is where
+    ///   a worker's accumulated telemetry (e.g. a resolver's counters) is
+    ///   exported into [`ShardScope::metrics`] — once per shard instead of
+    ///   once per item, so instrumentation stays off the per-item hot path
+    ///   while remaining deterministic (the hook depends only on shard
+    ///   state). Sweeps with nothing to export pass `|_, _| {}`.
     ///
     /// [`RecursiveResolver`]: https://docs.rs/remnant-dns
-    pub fn sweep<C, I, O, W, MW, T>(
-        &self,
-        ctx: &C,
-        items: &[I],
-        make_worker: MW,
-        task: T,
-    ) -> Sweep<O>
-    where
-        C: Sync + ?Sized,
-        I: Sync,
-        O: Send,
-        MW: Fn(usize) -> W + Sync,
-        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> TaskResult<O> + Sync,
-    {
-        self.sweep_with_finish(ctx, items, make_worker, task, |_, _| {})
-    }
-
-    /// [`ScanEngine::sweep`] plus a per-shard finish hook.
-    ///
-    /// `finish` runs once per shard after its last item, consuming the
-    /// shard's worker with the shard scope still writable. This is where
-    /// a worker's accumulated telemetry (e.g. a resolver's counters) is
-    /// exported into [`ShardScope::metrics`] — once per shard instead of
-    /// once per item, so instrumentation stays off the per-item hot path
-    /// while remaining deterministic (the hook depends only on shard
-    /// state).
-    pub fn sweep_with_finish<C, I, O, W, MW, T, F>(
+    pub fn sweep<C, I, O, W, MW, T, F>(
         &self,
         ctx: &C,
         items: &[I],
@@ -197,40 +163,38 @@ impl ScanEngine {
         I: Sync,
         O: Send,
         MW: Fn(usize) -> W + Sync,
-        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> TaskResult<O> + Sync,
+        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> O + Sync,
         F: Fn(W, &mut ShardScope) + Sync,
     {
-        let shards = plan_shards(items.len(), self.config.effective_shard_size());
+        let shards = plan_shards(items.len(), self.config.shard_size);
         let selected: Vec<usize> = (0..shards.len()).collect();
         self.run_shards(ctx, items, &shards, &selected, make_worker, task, finish)
     }
 
     /// The shard layout this engine would use for `items` inputs.
     ///
-    /// Depends only on the item count and the layout constants
-    /// ([`shard_size`](EngineConfig::shard_size),
-    /// [`shards_per_worker`](EngineConfig::shards_per_worker)) — callers
-    /// that schedule a subset of shards (see
-    /// [`ScanEngine::sweep_selected_with_finish`]) use this to map item
-    /// ranks to shard indices.
+    /// Depends only on the item count and
+    /// [`shard_size`](EngineConfig::shard_size) — callers that schedule a
+    /// subset of shards (see [`ScanEngine::sweep_selected`]) use this to
+    /// map item ranks to shard indices.
     pub fn shard_plan(&self, items: usize) -> Vec<std::ops::Range<usize>> {
-        plan_shards(items, self.config.effective_shard_size())
+        plan_shards(items, self.config.shard_size)
     }
 
-    /// [`ScanEngine::sweep_with_finish`], restricted to a subset of shards.
+    /// [`ScanEngine::sweep`], restricted to a subset of shards.
     ///
     /// `selected` names shard indices from [`ScanEngine::shard_plan`] (any
     /// order; duplicates ignored; out-of-range indices panic). Each selected
     /// shard runs with its **original identity**: the same RNG stream, the
     /// same `ShardStats::shard` index, and the same item range as in a full
     /// sweep — so a selected shard's outputs and stats are byte-identical
-    /// to the corresponding shard of [`ScanEngine::sweep_with_finish`].
+    /// to the corresponding shard of [`ScanEngine::sweep`].
     ///
     /// The returned outputs are the concatenation of the selected shards'
     /// outputs in ascending shard order; `stats.shards` likewise holds only
     /// the selected shards. Callers that need a full-length result splice
     /// the pieces back using the shard plan.
-    pub fn sweep_selected_with_finish<C, I, O, W, MW, T, F>(
+    pub fn sweep_selected<C, I, O, W, MW, T, F>(
         &self,
         ctx: &C,
         items: &[I],
@@ -244,21 +208,11 @@ impl ScanEngine {
         I: Sync,
         O: Send,
         MW: Fn(usize) -> W + Sync,
-        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> TaskResult<O> + Sync,
+        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> O + Sync,
         F: Fn(W, &mut ShardScope) + Sync,
     {
-        let shards = plan_shards(items.len(), self.config.effective_shard_size());
-        let mut selected: Vec<usize> = selected.to_vec();
-        selected.sort_unstable();
-        selected.dedup();
-        if let Some(&last) = selected.last() {
-            assert!(
-                last < shards.len(),
-                "selected shard {last} out of range ({} shards)",
-                shards.len()
-            );
-        }
-        self.run_shards(ctx, items, &shards, &selected, make_worker, task, finish)
+        let shards = plan_shards(items.len(), self.config.shard_size);
+        self.run_shards(ctx, items, &shards, selected, make_worker, task, finish)
     }
 
     /// One-task-per-shard sweep: runs `task` once for each of the
@@ -291,28 +245,20 @@ impl ScanEngine {
     {
         let shards: Vec<std::ops::Range<usize>> = (0..shard_count).map(|i| i..i + 1).collect();
         let items: Vec<usize> = (0..shard_count).collect();
-        let mut selected: Vec<usize> = selected.to_vec();
-        selected.sort_unstable();
-        selected.dedup();
-        if let Some(&last) = selected.last() {
-            assert!(
-                last < shard_count,
-                "selected shard {last} out of range ({shard_count} shards)"
-            );
-        }
         self.run_shards(
             ctx,
             &items,
             &shards,
-            &selected,
+            selected,
             |_| (),
-            |ctx, (), scope, _, &shard| TaskResult::Done(task(ctx, scope, shard)),
+            |ctx, (), scope, _, &shard| task(ctx, scope, shard),
             |(), _| {},
         )
     }
 
-    /// Shared executor: runs the `selected` (sorted, deduped) subset of
-    /// `shards` and merges positionally in ascending shard order.
+    /// Shared executor: runs the `selected` subset of `shards` (any order;
+    /// duplicates ignored; out-of-range indices panic) and merges
+    /// positionally in ascending shard order.
     #[allow(clippy::too_many_arguments)]
     fn run_shards<C, I, O, W, MW, T, F>(
         &self,
@@ -329,9 +275,19 @@ impl ScanEngine {
         I: Sync,
         O: Send,
         MW: Fn(usize) -> W + Sync,
-        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> TaskResult<O> + Sync,
+        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> O + Sync,
         F: Fn(W, &mut ShardScope) + Sync,
     {
+        let mut selected: Vec<usize> = selected.to_vec();
+        selected.sort_unstable();
+        selected.dedup();
+        if let Some(&last) = selected.last() {
+            assert!(
+                last < shards.len(),
+                "selected shard {last} out of range ({} shards)",
+                shards.len()
+            );
+        }
         // A pooled engine runs on its grant (≥ 1, ≤ requested); the grant
         // returns the threads to the service budget when the sweep ends.
         let grant = self
@@ -343,10 +299,8 @@ impl ScanEngine {
             .map(|g| g.granted())
             .unwrap_or_else(|| self.config.workers.max(1));
         let workers = budget.min(selected.len().max(1));
-        let limiter = self.config.rate.map(TokenBucket::new);
         let seeds = SeedSeq::new(self.config.seed).child("engine");
-        let max_attempts = self.config.retry.max_attempts.max(1);
-        let queue = ShardQueue::new(selected);
+        let queue = ShardQueue::new(&selected);
         let slots: SlotVec<(Vec<O>, ShardStats, ShardTiming)> = SlotVec::new(selected.len());
         let started = Instant::now();
 
@@ -362,41 +316,18 @@ impl ScanEngine {
                 metrics: MetricsRegistry::new(),
             };
             let mut worker = make_worker(shard_idx);
-            let mut outputs = Vec::with_capacity(range.len());
-            let mut stats = ShardStats {
-                shard: shard_idx,
-                items: range.len() as u64,
-                ..ShardStats::default()
-            };
-            for rank in range {
-                let mut attempt = 1u32;
-                loop {
-                    if let Some(bucket) = &limiter {
-                        bucket.acquire();
-                    }
-                    stats.attempts += 1;
-                    match task(ctx, &mut worker, &mut scope, rank, &items[rank]) {
-                        TaskResult::Done(output) => {
-                            outputs.push(output);
-                            break;
-                        }
-                        TaskResult::Retry(fallback) => {
-                            if attempt >= max_attempts {
-                                stats.exhausted += 1;
-                                outputs.push(fallback);
-                                break;
-                            }
-                            stats.retries += 1;
-                            attempt += 1;
-                        }
-                    }
-                }
-            }
+            let outputs: Vec<O> = range
+                .map(|rank| task(ctx, &mut worker, &mut scope, rank, &items[rank]))
+                .collect();
             finish(worker, &mut scope);
-            stats.queries = scope.queries;
-            stats.cache_hits = scope.cache_hits;
-            stats.cache_misses = scope.cache_misses;
-            stats.metrics = scope.metrics;
+            let stats = ShardStats {
+                shard: shard_idx,
+                items: outputs.len() as u64,
+                queries: scope.queries,
+                cache_hits: scope.cache_hits,
+                cache_misses: scope.cache_misses,
+                metrics: scope.metrics,
+            };
             let timing = ShardTiming {
                 shard: shard_idx,
                 wall: shard_started.elapsed(),
@@ -441,7 +372,6 @@ impl ScanEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RetryPolicy;
     use rand::Rng;
 
     fn engine(workers: usize, shard_size: usize) -> ScanEngine {
@@ -449,7 +379,6 @@ mod tests {
             workers,
             shard_size,
             seed: 42,
-            ..EngineConfig::default()
         })
     }
 
@@ -462,13 +391,13 @@ mod tests {
             |_| (),
             |_, _, _, rank, item| {
                 assert_eq!(rank, *item);
-                TaskResult::Done(item * 2)
+                item * 2
             },
+            |_, _| {},
         );
         let expected: Vec<usize> = items.iter().map(|i| i * 2).collect();
         assert_eq!(sweep.outputs, expected);
         assert_eq!(sweep.stats.items(), 1000);
-        assert_eq!(sweep.stats.attempts(), 1000);
     }
 
     #[test]
@@ -483,8 +412,9 @@ mod tests {
                     *acc += 1;
                     scope.add_queries(2);
                     let noise: u64 = scope.rng().gen_range(0..1000);
-                    TaskResult::Done(item.wrapping_mul(31) ^ noise ^ *acc)
+                    item.wrapping_mul(31) ^ noise ^ *acc
                 },
+                |_, _| {},
             )
         };
         let one = run(1);
@@ -492,58 +422,6 @@ mod tests {
         assert_eq!(one.outputs, eight.outputs);
         assert_eq!(one.stats.shards, eight.stats.shards);
         assert_eq!(one.stats.queries(), 777 * 2);
-    }
-
-    #[test]
-    fn retry_reruns_until_done() {
-        let items = [0u32; 10];
-        let sweep = ScanEngine::new(EngineConfig {
-            workers: 2,
-            shard_size: 4,
-            retry: RetryPolicy::attempts(3),
-            seed: 1,
-            ..EngineConfig::default()
-        })
-        .sweep(
-            &(),
-            &items,
-            |_| 0u32, // attempts seen by this shard's worker
-            |_, seen, _, _, _| {
-                *seen += 1;
-                // Every item succeeds on its second attempt.
-                if *seen % 2 == 0 {
-                    TaskResult::Done(true)
-                } else {
-                    TaskResult::Retry(false)
-                }
-            },
-        );
-        assert!(sweep.outputs.iter().all(|&done| done));
-        assert_eq!(sweep.stats.attempts(), 20);
-        assert_eq!(sweep.stats.retries(), 10);
-        assert_eq!(sweep.stats.exhausted(), 0);
-    }
-
-    #[test]
-    fn exhausted_items_keep_their_fallback() {
-        let items = [(); 5];
-        let sweep = ScanEngine::new(EngineConfig {
-            workers: 1,
-            shard_size: 2,
-            retry: RetryPolicy::attempts(3),
-            seed: 1,
-            ..EngineConfig::default()
-        })
-        .sweep(
-            &(),
-            &items,
-            |_| (),
-            |_, _, _, rank, _| TaskResult::<&str>::Retry(if rank == 3 { "boom" } else { "miss" }),
-        );
-        assert_eq!(sweep.outputs, ["miss", "miss", "miss", "boom", "miss"]);
-        assert_eq!(sweep.stats.attempts(), 15);
-        assert_eq!(sweep.stats.retries(), 10);
-        assert_eq!(sweep.stats.exhausted(), 5);
     }
 
     #[test]
@@ -555,7 +433,8 @@ mod tests {
                     &(),
                     &items,
                     |_| (),
-                    |_, _, scope, _, _| TaskResult::Done(scope.rng().gen_range(0u64..u64::MAX)),
+                    |_, _, scope, _, _| scope.rng().gen_range(0u64..u64::MAX),
+                    |_, _| {},
                 )
                 .outputs
         };
@@ -570,14 +449,11 @@ mod tests {
     fn finish_hook_exports_worker_state_per_shard() {
         let items: Vec<u64> = (0..100).collect();
         let run = |workers: usize| {
-            engine(workers, 16).sweep_with_finish(
+            engine(workers, 16).sweep(
                 &(),
                 &items,
                 |_| 0u64, // worker: per-shard accumulated "queries"
-                |_, acc, _, _, item| {
-                    *acc += item % 3;
-                    TaskResult::Done(())
-                },
+                |_, acc, _, _, item| *acc += item % 3,
                 |acc, scope| {
                     scope.metrics().add("transport.sent", acc);
                     scope.metrics().observe_with("shard.load", &[10, 100], acc);
@@ -603,7 +479,7 @@ mod tests {
             *acc += 1;
             scope.add_queries(1);
             let noise: u64 = scope.rng().gen_range(0..1000);
-            TaskResult::Done(item.wrapping_mul(7) ^ noise ^ (rank as u64) ^ *acc)
+            item.wrapping_mul(7) ^ noise ^ (rank as u64) ^ *acc
         };
         let finish = |acc: u64, scope: &mut ShardScope| {
             scope.metrics().add("transport.sent", acc);
@@ -611,12 +487,11 @@ mod tests {
         let eng = engine(4, 32);
         let plan = eng.shard_plan(items.len());
         assert_eq!(plan.len(), 8);
-        let full = eng.sweep_with_finish(&(), &items, |_| 0u64, task, finish);
+        let full = eng.sweep(&(), &items, |_| 0u64, task, finish);
 
         // Run a subset (unsorted, with a duplicate) and compare each selected
         // shard's outputs and stats against the full sweep, slot for slot.
-        let partial =
-            eng.sweep_selected_with_finish(&(), &items, &[6, 1, 3, 1], |_| 0u64, task, finish);
+        let partial = eng.sweep_selected(&(), &items, &[6, 1, 3, 1], |_| 0u64, task, finish);
         let chosen = [1usize, 3, 6];
         let expected: Vec<u64> = chosen
             .iter()
@@ -633,12 +508,12 @@ mod tests {
     fn selecting_every_shard_matches_a_full_sweep() {
         let items: Vec<u64> = (0..100).collect();
         let task = |_: &(), _: &mut (), scope: &mut ShardScope, _: usize, item: &u64| {
-            TaskResult::Done(item ^ scope.rng().gen_range(0u64..1 << 20))
+            item ^ scope.rng().gen_range(0u64..1 << 20)
         };
         let eng = engine(2, 16);
         let all: Vec<usize> = (0..eng.shard_plan(items.len()).len()).collect();
-        let full = eng.sweep_with_finish(&(), &items, |_| (), task, |_, _| {});
-        let sel = eng.sweep_selected_with_finish(&(), &items, &all, |_| (), task, |_, _| {});
+        let full = eng.sweep(&(), &items, |_| (), task, |_, _| {});
+        let sel = eng.sweep_selected(&(), &items, &all, |_| (), task, |_, _| {});
         assert_eq!(full.outputs, sel.outputs);
         assert_eq!(full.stats.shards, sel.stats.shards);
     }
@@ -646,14 +521,8 @@ mod tests {
     #[test]
     fn selecting_no_shards_is_an_empty_sweep() {
         let items: Vec<u64> = (0..50).collect();
-        let sweep = engine(2, 16).sweep_selected_with_finish(
-            &(),
-            &items,
-            &[],
-            |_| (),
-            |_, _, _, _, _| TaskResult::Done(0u64),
-            |_, _| {},
-        );
+        let sweep =
+            engine(2, 16).sweep_selected(&(), &items, &[], |_| (), |_, _, _, _, _| 0u64, |_, _| {});
         assert!(sweep.outputs.is_empty());
         assert!(sweep.stats.shards.is_empty());
     }
@@ -661,39 +530,10 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_sweep() {
         let items: [u8; 0] = [];
-        let sweep = engine(4, 512).sweep(&(), &items, |_| (), |_, _, _, _, _| TaskResult::Done(0));
+        let sweep = engine(4, 512).sweep(&(), &items, |_| (), |_, _, _, _, _| 0, |_, _| {});
         assert!(sweep.outputs.is_empty());
         assert!(sweep.stats.shards.is_empty());
         assert_eq!(sweep.stats.items(), 0);
-    }
-
-    #[test]
-    fn finer_granularity_is_still_worker_count_invariant() {
-        let items: Vec<u64> = (0..500).collect();
-        let run = |workers: usize| {
-            ScanEngine::new(EngineConfig {
-                workers,
-                shard_size: 64,
-                shards_per_worker: 4,
-                seed: 11,
-                ..EngineConfig::default()
-            })
-            .sweep(
-                &(),
-                &items,
-                |_| (),
-                |_, _, scope, _, item| {
-                    let noise: u64 = scope.rng().gen_range(0..1 << 20);
-                    TaskResult::Done(item ^ noise)
-                },
-            )
-        };
-        let one = run(1);
-        let eight = run(8);
-        assert_eq!(one.outputs, eight.outputs);
-        assert_eq!(one.stats.shards, eight.stats.shards);
-        // ceil(64 / 4) = 16 items per claimable shard.
-        assert_eq!(one.stats.shards.len(), 500usize.div_ceil(16));
     }
 
     #[test]
@@ -703,16 +543,16 @@ mod tests {
             workers: 4,
             shard_size: 32,
             seed: 5,
-            ..EngineConfig::default()
         };
         let task = |_: &(), _: &mut (), scope: &mut ShardScope, _: usize, item: &u64| {
-            TaskResult::Done(item ^ scope.rng().gen_range(0u64..1 << 16))
+            item ^ scope.rng().gen_range(0u64..1 << 16)
         };
-        let plain = ScanEngine::new(config.clone()).sweep(&(), &items, |_| (), task);
+        let plain = ScanEngine::new(config.clone()).sweep(&(), &items, |_| (), task, |_, _| {});
         // A pool smaller than the configured workers: the sweep shrinks
         // to its grant, output doesn't move.
         let pool = crate::pool::WorkerPool::new(2);
-        let pooled = ScanEngine::with_pool(config, pool.clone()).sweep(&(), &items, |_| (), task);
+        let pooled =
+            ScanEngine::with_pool(config, pool.clone()).sweep(&(), &items, |_| (), task, |_, _| {});
         assert_eq!(plain.outputs, pooled.outputs);
         assert_eq!(plain.stats.shards, pooled.stats.shards);
         assert!(pooled.stats.workers <= 2, "sweep ran on the grant");
@@ -764,8 +604,9 @@ mod tests {
             |_| 0u32,
             |_, seen, _, _, _| {
                 *seen += 1;
-                TaskResult::Done(*seen)
+                *seen
             },
+            |_, _| {},
         );
         assert_eq!(sweep.outputs, [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4]);
     }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rand::Rng;
-use remnant_engine::{plan_shards, EngineConfig, RetryPolicy, ScanEngine, TaskResult};
+use remnant_engine::{plan_shards, EngineConfig, ScanEngine};
 
 const DEPTH_BOUNDS: &[u64] = &[1, 2, 4];
 
@@ -32,13 +32,13 @@ proptest! {
             workers,
             shard_size,
             seed,
-            ..EngineConfig::default()
         });
         let sweep = engine.sweep(
             &(),
             &items,
             |_| (),
-            |_, _, _, rank, item| TaskResult::Done((rank, *item)),
+            |_, _, _, rank, item| (rank, *item),
+            |_, _| {},
         );
         let expected: Vec<(usize, u64)> =
             items.iter().copied().enumerate().collect();
@@ -57,9 +57,7 @@ proptest! {
             ScanEngine::new(EngineConfig {
                 workers,
                 shard_size,
-                retry: RetryPolicy::attempts(2),
                 seed,
-                ..EngineConfig::default()
             })
             .sweep(
                 &(),
@@ -70,12 +68,12 @@ proptest! {
                     scope.add_queries(1);
                     let roll: u64 = scope.rng().gen_range(0..4);
                     if roll == 0 {
-                        // Retryable miss; fallback still deterministic.
-                        TaskResult::Retry(rank as u64 ^ *acc)
+                        rank as u64 ^ *acc
                     } else {
-                        TaskResult::Done(item.wrapping_mul(roll) ^ *acc)
+                        item.wrapping_mul(roll) ^ *acc
                     }
                 },
+                |_, _| {},
             )
         };
         let sequential = run(1);
@@ -96,9 +94,8 @@ proptest! {
                 workers,
                 shard_size,
                 seed,
-                ..EngineConfig::default()
             })
-            .sweep_with_finish(
+            .sweep(
                 &(),
                 &items,
                 |_| 0u64,
@@ -107,7 +104,7 @@ proptest! {
                     let parity = if item % 2 == 0 { "even" } else { "odd" };
                     scope.metrics().inc_labeled("test.items", &[("parity", parity)]);
                     scope.metrics().observe_with("test.depth", DEPTH_BOUNDS, item % 6);
-                    TaskResult::Done(*item)
+                    *item
                 },
                 // The finish hook runs once per shard, like the resolver
                 // telemetry export on the collection path.

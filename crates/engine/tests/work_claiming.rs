@@ -16,7 +16,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use remnant_engine::{plan_shards, EngineConfig, ScanEngine, TaskResult};
+use remnant_engine::{plan_shards, EngineConfig, ScanEngine};
 use remnant_sim::SeedSeq;
 
 /// What the engine's task computes per item: a mix of the item, the
@@ -29,7 +29,7 @@ fn mix(item: u64, noise: u64, acc: u64) -> u64 {
 /// The legacy static-plan oracle: sequential, in plan order, no threads.
 fn static_plan_reference(items: &[u64], config: &EngineConfig) -> (Vec<u64>, Vec<u64>) {
     let seeds = SeedSeq::new(config.seed).child("engine");
-    let shards = plan_shards(items.len(), config.effective_shard_size());
+    let shards = plan_shards(items.len(), config.shard_size);
     let mut outputs = Vec::with_capacity(items.len());
     let mut queries = Vec::with_capacity(shards.len());
     for (idx, range) in shards.iter().enumerate() {
@@ -64,8 +64,9 @@ fn claiming_run(items: &[u64], config: &EngineConfig, skews_us: &[u16]) -> (Vec<
                 }
             }
             let noise: u64 = scope.rng().gen_range(0..1 << 24);
-            TaskResult::Done(mix(*item, noise, *acc))
+            mix(*item, noise, *acc)
         },
+        |_, _| {},
     );
     let queries = sweep.stats.shards.iter().map(|s| s.queries).collect();
     (sweep.outputs, queries)
@@ -82,7 +83,6 @@ proptest! {
     fn claiming_matches_static_plan_under_straggler_skew(
         items in proptest::collection::vec(0u64..1 << 40, 0..400),
         shard_size in 1usize..48,
-        shards_per_worker in 1usize..4,
         workers in 1usize..7,
         seed in proptest::arbitrary::any::<u64>(),
         skews_us in proptest::collection::vec(0u16..400, 1..6),
@@ -90,9 +90,7 @@ proptest! {
         let config = EngineConfig {
             workers,
             shard_size,
-            shards_per_worker,
             seed,
-            ..EngineConfig::default()
         };
         let (expected, expected_queries) = static_plan_reference(&items, &config);
         let (got, got_queries) = claiming_run(&items, &config, &skews_us);
@@ -111,7 +109,6 @@ fn extreme_straggler_does_not_reorder_the_merge() {
         workers: 4,
         shard_size: 16,
         seed: 99,
-        ..EngineConfig::default()
     };
     let (expected, _) = static_plan_reference(&items, &config);
     // Shard 0 is the straggler; everyone else is instant.

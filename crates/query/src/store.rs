@@ -195,8 +195,11 @@ impl SnapshotStore {
     /// Validates that the round numbers form a contiguous sequence (a
     /// gap — e.g. from an interrupted run that mixed `full-r*` and
     /// `delta-r*` files — is a typed [`StoreError::MissingRound`]), that
-    /// every file agrees on the collection plan, and that the first round
-    /// covers every shard. Only headers and footer indexes are read.
+    /// every file agrees on the collection plan, that the plan is
+    /// consistent (`shard_count == ceil(sites / block_size)`, and each
+    /// frame holds its shard's plan length), and that the first round
+    /// covers every shard. Only headers, footer indexes and frame
+    /// preambles are read.
     pub fn open(dir: impl AsRef<Path>) -> Result<SnapshotStore, StoreError> {
         let dir = dir.as_ref();
         let io = |context: &'static str| {
@@ -241,8 +244,17 @@ impl SnapshotStore {
         for (round, kind, path) in files {
             let file = SpillFile::open(&path)?;
             let meta = file.meta();
+            let block = u64::from(meta.block_size);
             match plan {
                 None => {
+                    // The header must describe the collector's shard plan:
+                    // `ceil(sites / block_size)` shards.
+                    if block == 0 || meta.sites.div_ceil(block) != u64::from(meta.shard_count) {
+                        return Err(StoreError::PlanMismatch {
+                            round,
+                            field: "shard_count",
+                        });
+                    }
                     plan = Some((meta.sites, meta.block_size, meta.shard_count));
                     latest = vec![None; meta.shard_count as usize];
                 }
@@ -270,6 +282,17 @@ impl SnapshotStore {
             prev_day = Some(meta.day);
 
             let refs = file.refs()?;
+            // Each frame must hold its shard's plan length: `block_size`
+            // sites, or the remainder in the last shard.
+            if refs
+                .iter()
+                .any(|r| r.sites() as u64 != block.min(meta.sites - r.shard() as u64 * block))
+            {
+                return Err(StoreError::PlanMismatch {
+                    round,
+                    field: "block_size",
+                });
+            }
             let dirty_shards: Vec<u32> = refs.iter().map(|r| r.shard() as u32).collect();
             for r in refs {
                 let shard = r.shard();

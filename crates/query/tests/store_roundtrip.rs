@@ -6,12 +6,15 @@
 
 use std::path::PathBuf;
 
+use remnant_core::snapshot::{RecordBlock, SiteRecords};
+use remnant_core::spill::{SpillMeta, SpillWriter};
 use remnant_core::study::{CollectionMode, PaperStudy, StudyConfig, StudyReport};
 use remnant_core::{DnsSnapshot, SpillConfig};
 use remnant_query::{
     PassesPlan, QueryPlan, RecordClass, RoundKind, SnapshotStore, StoreError,
     UnchangedCandidatesPlan,
 };
+use remnant_sim::SimTime;
 use remnant_world::{World, WorldConfig};
 
 const POPULATION: usize = 1_200;
@@ -245,4 +248,59 @@ fn unrelated_files_are_ignored_and_empty_dirs_are_typed() {
         SnapshotStore::open(&empty),
         Err(StoreError::NoRounds)
     ));
+}
+
+/// Writes `full-r00000.rsnb` under a fresh `tag` directory with the given
+/// header plan and one frame of `frame_sites` empty sites per shard.
+fn crafted_round(tag: &str, sites: u64, block_size: u32, frame_sites: &[usize]) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("remnant-query-{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut writer = SpillWriter::create(
+        dir.join("full-r00000.rsnb"),
+        SpillMeta {
+            taken_at: SimTime::EPOCH,
+            day: 0,
+            sites,
+            block_size,
+            shard_count: frame_sites.len() as u32,
+        },
+    )
+    .expect("create spill file");
+    for (shard, &n) in frame_sites.iter().enumerate() {
+        let block = RecordBlock::from_sites(vec![SiteRecords::default(); n]);
+        writer
+            .append_block(shard as u32, &block)
+            .expect("append frame");
+    }
+    writer.finish().expect("finish spill file");
+    dir
+}
+
+#[test]
+fn spill_layout_contradicting_its_header_is_a_typed_error() {
+    // The collector's layout: 60 sites in blocks of 32, the last one short.
+    let ok = crafted_round("plan-ok", 60, 32, &[32, 28]);
+    let store = SnapshotStore::open(&ok).expect("a consistent layout opens");
+    assert_eq!(store.shard_count(), 2);
+
+    // Frames of 16 and 48 sites under a 32-site block size: the frame
+    // count and the total agree with the header, the frame lengths don't.
+    let frames = crafted_round("plan-frames", 64, 32, &[16, 48]);
+    match SnapshotStore::open(&frames) {
+        Err(StoreError::PlanMismatch { round, field }) => {
+            assert_eq!((round, field), (0, "block_size"));
+        }
+        other => panic!("expected PlanMismatch, got {other:?}"),
+    }
+
+    // Three shards for 64 sites in blocks of 32: the header contradicts
+    // itself before any frame is read.
+    let header = crafted_round("plan-header", 64, 32, &[32, 32, 0]);
+    match SnapshotStore::open(&header) {
+        Err(StoreError::PlanMismatch { round, field }) => {
+            assert_eq!((round, field), (0, "shard_count"));
+        }
+        other => panic!("expected PlanMismatch, got {other:?}"),
+    }
 }
